@@ -216,35 +216,28 @@ def run_wireless(config: dict, seed: int, out: Optional[str], jobs: int,
     _check_keys(block, {"m", "block_len", "power_grid", "slot", "noise_var",
                         "channel_var", "optimize", "power", "channel_vars",
                         "allocation", "mc_samples"}, "wireless")
-    try:
-        m = int(block["m"])
-    except KeyError as exc:
-        raise ConfigError(f"wireless section missing {exc}") from exc
+    if "m" not in block:
+        raise ConfigError("wireless section missing 'm'")
     p_grid = block.get("power_grid", [])
     if not isinstance(p_grid, list) or not p_grid:
         raise ConfigError("wireless.power_grid must be a nonempty list")
-    slot = int(block.get("slot", 2))
-    noise_var = float(block.get("noise_var", 1.0))
-    channel_var = float(block.get("channel_var", 1.0))
+    opt = None
     try:
+        m = int(block["m"])
+        slot = int(block.get("slot", 2))
+        noise_var = float(block.get("noise_var", 1.0))
+        channel_var = float(block.get("channel_var", 1.0))
         rows = wireless.multiplexing_gain_sweep(m, p_grid, slot=slot,
                                                 noise_var=noise_var,
                                                 channel_var=channel_var)
-    except ValueError as exc:
+        if block.get("optimize", False):
+            opt = wireless.optimize_allocation(
+                m, int(block.get("block_len", slot * (m + 2))),
+                float(block.get("power", 1.0)), noise_var,
+                block.get("channel_vars", [[channel_var, channel_var]] * m),
+                seed=seed)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"wireless section: {exc}") from exc
-
-    opt = None
-    if block.get("optimize", False):
-        block_len = int(block.get("block_len", slot * (m + 2)))
-        power = float(block.get("power", 1.0))
-        channel_vars = block.get("channel_vars",
-                                 [[channel_var, channel_var]] * m)
-        try:
-            opt = wireless.optimize_allocation(m, block_len, power,
-                                               noise_var, channel_vars,
-                                               seed=seed)
-        except ValueError as exc:
-            raise ConfigError(f"wireless section: {exc}") from exc
 
     digest = _config_digest(config)
     if fmt == "csv":

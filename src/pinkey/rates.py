@@ -1,7 +1,8 @@
 """Closed-form key rates: capacity, cut-set upper bound, XOR baseline.
 
 All rates are in bits.  ``capacity`` drops the largest per-relay value
-(equivalently, sums the M-1 smallest); ``converse_bound`` evaluates the
+(equivalently, sums the M-1 smallest) and evaluates a whole ``(..., M)``
+array of instances at once; ``converse_bound`` evaluates the
 cut obtained by partitioning the other relays around each candidate relay
 and is numerically identical to the capacity; ``xor_baseline_rate`` pairs
 relays in listed order and sums pairwise minima.
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 from typing import List, Sequence, Tuple, Union
+
+import numpy as np
 
 from . import model
 from .model import PinInstance
@@ -29,10 +32,29 @@ def _validate_i_values(i_values: Sequence[float]) -> List[float]:
     return vals
 
 
-def capacity(i_values: Sequence[float]) -> float:
-    """Private-key capacity: sum of all per-relay values minus the largest."""
-    vals = _validate_i_values(i_values)
-    return sum(vals) - max(vals)
+def capacity(i_values) -> Union[float, np.ndarray]:
+    """Private-key capacity: sum of all per-relay values minus the largest.
+
+    Takes one instance (a sequence of M values) or an array of shape
+    (..., M) and returns a float or an array of shape (...).  The relay
+    columns are added one after another, left to right, so every row
+    gets exactly the float a plain left-to-right loop would.
+    """
+    if isinstance(i_values, np.ndarray):
+        vals = np.asarray(i_values, dtype=float)
+    else:
+        vals = np.array([float(v) for v in i_values])
+    if vals.ndim == 0 or vals.shape[-1] < 2:
+        raise ValueError("at least two relays are required")
+    bad = ~np.isfinite(vals) | (vals < 0.0)
+    if bad.any():
+        raise ValueError(f"rate inputs must be finite and >= 0: "
+                         f"{float(vals[bad][0])}")
+    total = vals[..., 0]
+    for j in range(1, vals.shape[-1]):
+        total = total + vals[..., j]
+    cap = total - vals.max(axis=-1)
+    return float(cap) if cap.ndim == 0 else cap
 
 
 def capacity_order_stat(i_values: Sequence[float]) -> float:

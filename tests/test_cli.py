@@ -123,6 +123,24 @@ class TestWirelessCommand:
                            {"wireless": {"m": 4, "power_grid": []}})
         assert main(["wireless", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("grid", [[1.0, 10.0], [0.5, 10.0]])
+    def test_grid_power_at_most_one_rejected(self, tmp_path, capsys, grid):
+        cfg = write_config(tmp_path,
+                           {"wireless": {"m": 4, "power_grid": grid}})
+        assert main(["wireless", "--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("channel_vars", [[None, [1, 1]],
+                                              [[1, 1], [1, "strong"]],
+                                              [[1, 1], [1, None]]])
+    def test_bad_channel_vars_rejected(self, tmp_path, capsys, channel_vars):
+        cfg = write_config(tmp_path,
+                           {"wireless": {"m": 2, "power_grid": [10.0],
+                                         "optimize": True, "block_len": 8,
+                                         "channel_vars": channel_vars}})
+        assert main(["wireless", "--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_leakage_sweep(self, tmp_path):

@@ -53,6 +53,51 @@ class TestCapacity:
         assert rates.capacity(bumped) >= rates.capacity(vals) - 1e-12
 
 
+class TestCapacityArray:
+    def test_rows_equal_scalar_calls_exactly(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        for m in (2, 3, 5, 8, 13):
+            batch = rng.uniform(0.0, 16.0, (200, m))
+            batch[::7] = batch[::7, :1]  # rows of equal values (ties)
+            got = rates.capacity(batch)
+            assert got.shape == (200,)
+            assert got.tolist() == [rates.capacity(row.tolist())
+                                    for row in batch]
+
+    def test_matches_left_to_right_sum_minus_max(self):
+        # Python >= 3.12 compensates the builtin sum(), so the reference
+        # adds the values one at a time.
+        rng = np.random.Generator(np.random.PCG64(8))
+        for _ in range(200):
+            vals = rng.uniform(0.0, 1.0, int(rng.integers(2, 12))).tolist()
+            total = 0.0
+            for v in vals:
+                total += v
+            assert rates.capacity(vals) == total - max(vals)
+
+    def test_leading_axes_kept(self):
+        batch = np.arange(24, dtype=float).reshape(2, 3, 4)
+        got = rates.capacity(batch)
+        assert got.shape == (2, 3)
+        assert got[1, 2] == rates.capacity([20.0, 21.0, 22.0, 23.0])
+
+    def test_single_instance_is_python_float(self):
+        assert type(rates.capacity(np.array([0.5, 1.0, 2.0]))) is float
+        assert type(rates.capacity([0.5, 1.0, 2.0])) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_rejects_bad_entries(self, bad):
+        batch = np.ones((5, 9))
+        batch[3, 6] = bad
+        with pytest.raises(ValueError):
+            rates.capacity(batch)
+
+    @pytest.mark.parametrize("shape", [(4, 1), (4, 0), (1,), ()])
+    def test_rejects_fewer_than_two_relays(self, shape):
+        with pytest.raises(ValueError):
+            rates.capacity(np.ones(shape))
+
+
 class TestConverseBound:
     def test_symmetric_two_relays(self):
         res = rates.converse_bound([(1.0, 1.0), (1.0, 1.0)])

@@ -1,12 +1,35 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from pinkey import wireless
-from pinkey.wireless import (WirelessConfig, key_rate, mc_estimate_check,
-                             multiplexing_gain_sweep, optimize_allocation,
-                             pairwise_rate, uniform_config)
+from pinkey.wireless import (AllocationResult, WirelessConfig, key_rate,
+                             mc_estimate_check, multiplexing_gain_sweep,
+                             optimize_allocation, pairwise_rate,
+                             uniform_config)
+
+
+def _compositions(total, parts):
+    """All ways to split total into `parts` positive integers."""
+    for cuts in combinations(range(1, total), parts - 1):
+        bounds = (0,) + cuts + (total,)
+        yield tuple(bounds[j + 1] - bounds[j] for j in range(parts))
+
+
+def _exhaustive_oracle(m, block_len, power, noise_var, channel_vars):
+    """Reference search: one validated config and one key_rate call per
+    composition, the first strict maximum wins."""
+    best, best_rate = None, -1.0
+    for alloc in _compositions(block_len, m + 2):
+        cfg = WirelessConfig(m=m, power=power, noise_var=noise_var,
+                             channel_vars=channel_vars, block_len=block_len,
+                             allocation=alloc)
+        r = key_rate(cfg).r_key
+        if r > best_rate:
+            best, best_rate = alloc, r
+    return AllocationResult(best, best_rate, "exhaustive")
 
 
 class TestPairwiseRate:
@@ -110,7 +133,74 @@ class TestOptimizeAllocation:
         assert opt.r_key == pytest.approx(key_rate(uniform).r_key, abs=1e-12)
 
     def test_composition_count(self):
-        assert sum(1 for _ in wireless._compositions(10, 4)) == 84
+        chunks = list(wireless._composition_chunks(10, 4, rows=25))
+        assert [len(c) for c in chunks] == [25, 25, 25, 9]
+        rows = [tuple(r) for c in chunks for r in c.tolist()]
+        assert len(rows) == 84
+        assert rows == list(_compositions(10, 4))
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_matches_reference_search(self, case):
+        rng = np.random.Generator(np.random.PCG64(1000 + case))
+        m = int(rng.integers(2, 5))
+        block_len = int(rng.integers(m + 2, 17))
+        power = float(10.0 ** rng.uniform(-9, 9)) if case % 3 == 0 \
+            else float(rng.uniform(0.2, 20.0))
+        noise_var = float(rng.uniform(0.2, 4.0))
+        if case % 4 == 0:  # all-equal variances: many tied allocations
+            channel_vars = [(1.3, 1.3)] * m
+        else:
+            channel_vars = [(float(rng.uniform(0.05, 4.0)),
+                             float(rng.uniform(0.05, 4.0)))
+                            for _ in range(m)]
+        got = optimize_allocation(m, block_len, power, noise_var,
+                                  channel_vars)
+        want = _exhaustive_oracle(m, block_len, power, noise_var,
+                                  channel_vars)
+        assert got.allocation == want.allocation
+        assert got.r_key == want.r_key
+        assert got.method == want.method == "exhaustive"
+        assert type(got.r_key) is float
+        assert all(type(t) is int for t in got.allocation)
+
+    @pytest.mark.parametrize("power", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_matches_reference_at_extreme_symmetric_powers(self, power):
+        channel_vars = [(1.0, 1.0)] * 3
+        got = optimize_allocation(3, 12, power, 1.0, channel_vars)
+        want = _exhaustive_oracle(3, 12, power, 1.0, channel_vars)
+        assert (got.allocation, got.r_key, got.method) == \
+            (want.allocation, want.r_key, want.method)
+
+    def test_search_spans_several_chunks(self):
+        # M=4, T=20: 27,132 compositions, 27 chunks of up to 1024 rows.
+        channel_vars = [(0.6, 1.8), (1.1, 0.9), (2.0, 0.7), (0.8, 0.8)]
+        got = optimize_allocation(4, 20, 3.0, 1.0, channel_vars)
+        want = _exhaustive_oracle(4, 20, 3.0, 1.0, channel_vars)
+        assert (got.allocation, got.r_key) == (want.allocation, want.r_key)
+
+    def test_ties_across_chunks_keep_first(self, monkeypatch):
+        chunks = wireless._composition_chunks
+        monkeypatch.setattr(wireless, "_composition_chunks",
+                            lambda total, parts: chunks(total, parts, rows=7))
+        channel_vars = [(0.9, 0.9)] * 3
+        got = optimize_allocation(3, 13, 2.0, 1.0, channel_vars)
+        want = _exhaustive_oracle(3, 13, 2.0, 1.0, channel_vars)
+        assert (got.allocation, got.r_key) == (want.allocation, want.r_key)
+
+    @pytest.mark.parametrize("power, noise_var, channel_vars", [
+        (0.0, 1.0, [(1, 1), (1, 1)]),
+        (-1.0, 1.0, [(1, 1), (1, 1)]),
+        (1.0, 0.0, [(1, 1), (1, 1)]),
+        (1.0, 1.0, [(1, 0), (1, 1)]),
+        (1.0, 1.0, [(1, 1), (-2, 1)]),
+        (math.nan, 1.0, [(1, 1), (1, 1)]),
+        (1.0, 1.0, [(1, 1), (1, math.inf)]),
+        (1.0, 1.0, [(1, 1)]),
+    ])
+    def test_exhaustive_rejects_bad_inputs(self, power, noise_var,
+                                           channel_vars):
+        with pytest.raises(ValueError):
+            optimize_allocation(2, 8, power, noise_var, channel_vars)
 
     def test_feeds_bottleneck_channel(self):
         # The strongest relay is excluded from the key rate, so slots go
@@ -152,6 +242,13 @@ class TestMultiplexingGain:
             multiplexing_gain_sweep(3, [])
         with pytest.raises(ValueError):
             multiplexing_gain_sweep(3, [10.0, 5.0])
+
+    @pytest.mark.parametrize("grid", [[1.0, 10.0], [0.5, 10.0]])
+    def test_rejects_power_at_most_one(self, grid):
+        # r_s = log2(P)/(2T) is 0 at P=1 (division by zero) and negative
+        # below it (negative ratios).
+        with pytest.raises(ValueError):
+            multiplexing_gain_sweep(3, grid)
 
 
 class TestMcEstimateCheck:
