@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from multiprocessing import Pool
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +29,8 @@ _SECTIONS = {"seed", "capacity", "protocol", "wireless", "sweep"}
 
 
 def _check_keys(block: dict, allowed: set, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -87,20 +90,36 @@ def _emit_json(out: Optional[str], digest: str, seed: int,
     _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def random_pair_mis(rng: np.random.Generator, m_min: int, m_max: int,
-                    i_max: float) -> List[Tuple[float, float]]:
-    """One random instance: per-relay MI pairs uniform on [0, i_max]."""
-    m = int(rng.integers(m_min, m_max + 1))
-    return [(float(rng.uniform(0.0, i_max)), float(rng.uniform(0.0, i_max)))
-            for _ in range(m)]
+def _tightness_sweep(block: dict, seed: int, where: str) -> dict:
+    """Capacity against the converse bound on ``count`` random instances.
 
-
-def _tightness_task(args) -> float:
-    seed, m_min, m_max, i_max = args
-    rng = np.random.Generator(np.random.PCG64(seed))
-    pair_mis = random_pair_mis(rng, m_min, m_max, i_max)
-    i_vals = [min(a, b) for a, b in pair_mis]
-    return abs(rates.capacity(i_vals) - rates.converse_bound(pair_mis).bound)
+    Instance t draws its relay count M uniform on [m_min, m_max] and M
+    (Alice-side, Bob-side) MI pairs uniform on [0, i_max) from
+    PCG64(seed + t).  The instances are zero-padded to m_max relays,
+    which changes neither rate, and both rates are evaluated once over
+    the whole (count, m_max, 2) array.
+    """
+    try:
+        count = int(block.get("count", 1000))
+        m_min = int(block.get("m_min", 2))
+        m_max = int(block.get("m_max", 6))
+        i_max = float(block.get("i_max", 4.0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if (m_min < 2 or m_max < m_min or count < 1
+            or not 0.0 < i_max < math.inf):
+        raise ConfigError(f"invalid {where} bounds")
+    pair_mis = np.zeros((count, m_max, 2))
+    for t in range(count):
+        rng = np.random.Generator(np.random.PCG64(seed + t))
+        m = int(rng.integers(m_min, m_max + 1))
+        pair_mis[t, :m] = rng.uniform(0.0, i_max, size=(m, 2))
+    i_vals = np.minimum(pair_mis[..., 0], pair_mis[..., 1])
+    gaps = np.abs(rates.capacity(i_vals)
+                  - rates.converse_bound(pair_mis).bound)
+    return {"count": count,
+            "tightness_failures": int(np.count_nonzero(gaps > 1e-12)),
+            "max_gap": float(gaps.max())}
 
 
 def _leakage_task(args) -> float:
@@ -117,8 +136,7 @@ def _map(jobs: int, func, tasks: list) -> list:
     return [func(t) for t in tasks]
 
 
-def run_capacity(config: dict, seed: int, out: Optional[str],
-                 jobs: int) -> None:
+def run_capacity(config: dict, seed: int, out: Optional[str]) -> None:
     block = _section(config, "capacity")
     _check_keys(block, {"pair_mis", "random_sweep"}, "capacity")
     results: dict = {}
@@ -133,27 +151,15 @@ def run_capacity(config: dict, seed: int, out: Optional[str],
         sweep = block["random_sweep"]
         _check_keys(sweep, {"count", "m_min", "m_max", "i_max"},
                     "capacity.random_sweep")
-        count = int(sweep.get("count", 1000))
-        m_min = int(sweep.get("m_min", 2))
-        m_max = int(sweep.get("m_max", 6))
-        i_max = float(sweep.get("i_max", 4.0))
-        if m_min < 2 or m_max < m_min or count < 1:
-            raise ConfigError("invalid random_sweep bounds")
-        gaps = _map(jobs, _tightness_task,
-                    [(seed + t, m_min, m_max, i_max) for t in range(count)])
-        results["random_sweep"] = {
-            "count": count,
-            "tightness_failures": int(sum(g > 1e-12 for g in gaps)),
-            "max_gap": max(gaps),
-        }
+        results["random_sweep"] = _tightness_sweep(sweep, seed,
+                                                   "capacity.random_sweep")
     if not results:
         raise ConfigError("capacity section needs 'pair_mis' or "
                           "'random_sweep'")
     _emit_json(out, _config_digest(config), seed, results)
 
 
-def run_protocol(config: dict, seed: int, out: Optional[str],
-                 jobs: int) -> None:
+def run_protocol(config: dict, seed: int, out: Optional[str]) -> None:
     block = _section(config, "protocol")
     _check_keys(block, {"m", "pairs", "n", "epsilon_bits", "trials"},
                 "protocol")
@@ -166,11 +172,11 @@ def run_protocol(config: dict, seed: int, out: Optional[str],
                                                              1)),
                                   seed=seed),
         )
+        trials = int(block.get("trials", 1))
     except KeyError as exc:
         raise ConfigError(f"protocol section missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"protocol section: {exc}") from exc
-    trials = int(block.get("trials", 1))
     if trials < 1:
         raise ConfigError("trials must be >= 1")
 
@@ -210,12 +216,12 @@ def run_protocol(config: dict, seed: int, out: Optional[str],
     _emit_json(out, _config_digest(config), seed, results)
 
 
-def run_wireless(config: dict, seed: int, out: Optional[str], jobs: int,
+def run_wireless(config: dict, seed: int, out: Optional[str],
                  fmt: str) -> None:
     block = _section(config, "wireless")
     _check_keys(block, {"m", "block_len", "power_grid", "slot", "noise_var",
-                        "channel_var", "optimize", "power", "channel_vars",
-                        "allocation", "mc_samples"}, "wireless")
+                        "channel_var", "optimize", "power", "channel_vars"},
+                "wireless")
     if "m" not in block:
         raise ConfigError("wireless section missing 'm'")
     p_grid = block.get("power_grid", [])
@@ -267,26 +273,19 @@ def run_sweep(config: dict, seed: int, out: Optional[str],
                 "sweep")
     kind = block.get("kind")
     if kind == "tightness":
-        count = int(block.get("count", 1000))
-        m_min = int(block.get("m_min", 2))
-        m_max = int(block.get("m_max", 6))
-        i_max = float(block.get("i_max", 4.0))
-        if m_min < 2 or m_max < m_min or count < 1:
-            raise ConfigError("invalid sweep bounds")
-        gaps = _map(jobs, _tightness_task,
-                    [(seed + t, m_min, m_max, i_max) for t in range(count)])
-        results = {"kind": kind, "count": count,
-                   "tightness_failures": int(sum(g > 1e-12 for g in gaps)),
-                   "max_gap": max(gaps)}
+        results = {"kind": kind, **_tightness_sweep(block, seed, "sweep")}
     elif kind == "leakage":
-        m = int(block.get("m", 2))
-        budgets = block.get("bits_per_message", [2, 4, 6, 8])
-        codebooks = int(block.get("codebooks", 100))
+        try:
+            m = int(block.get("m", 2))
+            budgets = [int(b) for b in block.get("bits_per_message",
+                                                 [2, 4, 6, 8])]
+            codebooks = int(block.get("codebooks", 100))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"sweep: {exc}") from exc
         if m < 2 or codebooks < 1 or not budgets:
             raise ConfigError("invalid leakage sweep parameters")
         table = []
         for b in budgets:
-            b = int(b)
             key_bits = pipeline.key_bits_for([b] * m, -(-b // 4))
             tasks = [([b] * m, key_bits, seed + 100_000 * b + c)
                      for c in range(codebooks)]
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None,
                         help="output path (default: stdout)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sweeps")
+                        help="worker processes for the leakage sweep")
     parser.add_argument("--format", choices=["json", "csv"], default=None,
                         help="output format (wireless defaults to csv)")
     return parser
@@ -331,12 +330,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         if args.command == "capacity":
-            run_capacity(config, seed, args.out, args.jobs)
+            run_capacity(config, seed, args.out)
         elif args.command == "protocol":
-            run_protocol(config, seed, args.out, args.jobs)
+            run_protocol(config, seed, args.out)
         elif args.command == "wireless":
-            run_wireless(config, seed, args.out, args.jobs,
-                         args.format or "csv")
+            run_wireless(config, seed, args.out, args.format or "csv")
         else:
             run_sweep(config, seed, args.out, args.jobs)
     except ConfigError as exc:

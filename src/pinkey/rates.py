@@ -1,16 +1,16 @@
 """Closed-form key rates: capacity, cut-set upper bound, XOR baseline.
 
 All rates are in bits.  ``capacity`` drops the largest per-relay value
-(equivalently, sums the M-1 smallest) and evaluates a whole ``(..., M)``
-array of instances at once; ``converse_bound`` evaluates the
-cut obtained by partitioning the other relays around each candidate relay
-and is numerically identical to the capacity; ``xor_baseline_rate`` pairs
-relays in listed order and sums pairwise minima.
+(equivalently, sums the M-1 smallest); ``converse_bound`` takes the
+minimum over the M enhanced source models, one per candidate relay m, of
+the cut sum_i I_i - I_m.  Both evaluate one instance or a whole array of
+instances at once and add the relay columns left to right, so they share
+one total and agree exactly.  ``xor_baseline_rate`` pairs relays in
+listed order and sums pairwise minima.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 from typing import List, Sequence, Tuple, Union
 
@@ -22,24 +22,8 @@ from .model import PinInstance
 PairMis = Sequence[Tuple[float, float]]
 
 
-def _validate_i_values(i_values: Sequence[float]) -> List[float]:
-    vals = [float(v) for v in i_values]
-    if len(vals) < 2:
-        raise ValueError("at least two relays are required")
-    for v in vals:
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"rate inputs must be finite and >= 0: {v}")
-    return vals
-
-
-def capacity(i_values) -> Union[float, np.ndarray]:
-    """Private-key capacity: sum of all per-relay values minus the largest.
-
-    Takes one instance (a sequence of M values) or an array of shape
-    (..., M) and returns a float or an array of shape (...).  The relay
-    columns are added one after another, left to right, so every row
-    gets exactly the float a plain left-to-right loop would.
-    """
+def _validated(i_values) -> np.ndarray:
+    """Per-relay values as a float array of shape (..., M), M >= 2."""
     if isinstance(i_values, np.ndarray):
         vals = np.asarray(i_values, dtype=float)
     else:
@@ -50,16 +34,32 @@ def capacity(i_values) -> Union[float, np.ndarray]:
     if bad.any():
         raise ValueError(f"rate inputs must be finite and >= 0: "
                          f"{float(vals[bad][0])}")
+    return vals
+
+
+def _total(vals: np.ndarray) -> np.ndarray:
+    """Relay columns added one after another, left to right, so every row
+    gets exactly the float a plain left-to-right loop would."""
     total = vals[..., 0]
     for j in range(1, vals.shape[-1]):
         total = total + vals[..., j]
-    cap = total - vals.max(axis=-1)
+    return total
+
+
+def capacity(i_values) -> Union[float, np.ndarray]:
+    """Private-key capacity: sum of all per-relay values minus the largest.
+
+    Takes one instance (a sequence of M values) or an array of shape
+    (..., M) and returns a float or an array of shape (...).
+    """
+    vals = _validated(i_values)
+    cap = _total(vals) - vals.max(axis=-1)
     return float(cap) if cap.ndim == 0 else cap
 
 
 def capacity_order_stat(i_values: Sequence[float]) -> float:
     """Same quantity via order statistics: sum of the M-1 smallest values."""
-    vals = _validate_i_values(i_values)
+    vals = _validated(i_values).tolist()
     return sum(sorted(vals)[:-1])
 
 
@@ -69,7 +69,7 @@ def xor_baseline_rate(i_values: Sequence[float]) -> float:
     Each pair contributes the minimum of its two members; with an odd relay
     count the unpaired relay contributes zero.  Order-sensitive by design.
     """
-    vals = _validate_i_values(i_values)
+    vals = _validated(i_values).tolist()
     total = 0.0
     for j in range(0, len(vals) - 1, 2):
         total += min(vals[j], vals[j + 1])
@@ -78,11 +78,8 @@ def xor_baseline_rate(i_values: Sequence[float]) -> float:
 
 @dataclass
 class ConverseResult:
-    bound: float
-    per_m_cuts: List[float]
-    # Per candidate relay m: (indices allocated to the Alice set,
-    # indices allocated to the Bob set), relays only, 0-based.
-    partitions: List[Tuple[List[int], List[int]]]
+    bound: Union[float, np.ndarray]
+    per_m_cuts: Union[List[float], np.ndarray]
 
 
 def _pair_mis(source: Union[PinInstance, PairMis]) -> List[Tuple[float, float]]:
@@ -91,30 +88,28 @@ def _pair_mis(source: Union[PinInstance, PairMis]) -> List[Tuple[float, float]]:
     return [(float(a), float(b)) for a, b in source]
 
 
-def converse_bound(source: Union[PinInstance, PairMis]) -> ConverseResult:
-    """Cut-set upper bound over M relaxed models, one per candidate relay.
+def converse_bound(source) -> ConverseResult:
+    """Upper bound from the M enhanced source models, one per relay.
 
-    For candidate m, every other relay joins the Alice set when its
-    Alice-side MI strictly exceeds its Bob-side MI (ties go to the Bob
-    set); the resulting cut equals sum_i I_i - I_m.  The bound is the
-    minimum cut over m.
+    Takes a :class:`PinInstance`, one instance as M (Alice-side,
+    Bob-side) MI pairs, or an array of shape (..., M, 2).  Model m gives
+    the cut sum_i I_i - I_m with I_i = min of relay i's pair; the bound
+    is the minimum cut over m.  The total is the left-to-right column
+    sum :func:`capacity` uses, so ``bound`` equals the capacity exactly.
+    One instance gives a float bound and a list of M cuts; an array
+    gives arrays of shape (...) and (..., M).
     """
-    pair_mis = _pair_mis(source)
-    if len(pair_mis) < 2:
-        raise ValueError("at least two relays are required")
-    i_vals = [min(a, b) for a, b in pair_mis]
-    total = sum(i_vals)
-    cuts, partitions = [], []
-    for m in range(len(pair_mis)):
-        alice_set, bob_set = [], []
-        for i, (ia, ib) in enumerate(pair_mis):
-            if i == m:
-                continue
-            (alice_set if ia > ib else bob_set).append(i)
-        cuts.append(total - i_vals[m])
-        partitions.append((alice_set, bob_set))
-    return ConverseResult(bound=min(cuts), per_m_cuts=cuts,
-                          partitions=partitions)
+    if isinstance(source, PinInstance):
+        source = model.pair_mutual_informations(source)
+    pairs = np.asarray(source, dtype=float)
+    if pairs.ndim < 2 or pairs.shape[-1] != 2:
+        raise ValueError("pair MIs must have shape (..., M, 2)")
+    i_vals = _validated(np.minimum(pairs[..., 0], pairs[..., 1]))
+    cuts = _total(i_vals)[..., None] - i_vals
+    bound = cuts.min(axis=-1)
+    if bound.ndim == 0:
+        return ConverseResult(bound=float(bound), per_m_cuts=cuts.tolist())
+    return ConverseResult(bound=bound, per_m_cuts=cuts)
 
 
 @dataclass

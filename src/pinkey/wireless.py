@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rates
 
-_EXHAUSTIVE_LIMIT = 1_000_000
+_EXHAUSTIVE_LIMIT = 10_000_000
 _RESTARTS = 16
 _CHUNK_ROWS = 1024
 
@@ -187,7 +187,7 @@ def optimize_allocation(m: int, block_len: int, power: float,
     """Best training-slot allocation for the network key rate.
 
     Exhaustive over all compositions of the block length into M+2
-    positive slots when their count is at most 10^6; otherwise seeded
+    positive slots when their count is at most 10^7; otherwise seeded
     coordinate ascent from near-uniform starts.  The method used is
     reported so heuristic results are clearly flagged.
 
@@ -199,8 +199,8 @@ def optimize_allocation(m: int, block_len: int, power: float,
     (rows, M) minima and one argmax, so memory stays flat and every rate
     is the float :func:`key_rate` would return.  Ties go to the first
     composition in lexicographic order of the cut points.  On a 2-core
-    x86 machine M=4, T=30 (118,755 compositions) takes about 0.04 s and
-    T=40 (575,757) about 0.16 s.
+    x86 machine M=4, T=30 (118,755 compositions) takes about 0.04 s,
+    T=40 (575,757) about 0.16 s and T=68 (9,657,648) 2 to 6 s.
     """
     parts = m + 2
     if block_len < parts:

@@ -62,6 +62,25 @@ class TestCapacityCommand:
         assert main(["capacity", "--config",
                      str(tmp_path / "absent.json")]) == 2
 
+    def test_random_sweep_equals_tightness_sweep(self, tmp_path):
+        bounds = {"count": 500, "m_min": 3, "m_max": 9, "i_max": 1e3}
+        out_cap, out_sweep = tmp_path / "cap.json", tmp_path / "sweep.json"
+        cap = write_config(tmp_path, {"capacity": {"random_sweep": bounds}},
+                           "cap.json")
+        sweep = write_config(tmp_path,
+                             {"sweep": dict(bounds, kind="tightness")},
+                             "sweep.json")
+        assert main(["capacity", "--config", cap, "--seed", "4",
+                     "--out", str(out_cap)]) == 0
+        assert main(["sweep", "--config", sweep, "--seed", "4",
+                     "--out", str(out_sweep)]) == 0
+        got_cap = json.loads(out_cap.read_text())["results"]["random_sweep"]
+        got_sweep = json.loads(out_sweep.read_text())["results"]
+        assert got_sweep.pop("kind") == "tightness"
+        assert got_cap == got_sweep
+        assert got_cap == {"count": 500, "tightness_failures": 0,
+                           "max_gap": 0.0}
+
 
 class TestProtocolCommand:
     def test_ideal_fixture_no_mismatch(self, tmp_path):
@@ -141,6 +160,15 @@ class TestWirelessCommand:
         assert main(["wireless", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("allocation", [1, 1, 1, 1, 4]),
+                                           ("mc_samples", 1000)])
+    def test_unread_keys_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path,
+                           {"wireless": {"m": 2, "power_grid": [10.0],
+                                         key: value}})
+        assert main(["wireless", "--config", cfg]) == 2
+        assert "unknown keys" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_leakage_sweep(self, tmp_path):
@@ -154,6 +182,16 @@ class TestSweepCommand:
         assert len(table) == 2
         assert all(row["mean_max_leakage_bits"] >= 0.0 for row in table)
 
+    def test_tightness_sweep_ignores_jobs(self, tmp_path):
+        cfg = write_config(tmp_path, {"sweep": {"kind": "tightness",
+                                                "count": 200}})
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["sweep", "--config", cfg, "--out", str(out1),
+                     "--jobs", "1"]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(out2),
+                     "--jobs", "2"]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_bad_kind_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"sweep": {"kind": "nonsense"}})
         assert main(["sweep", "--config", cfg]) == 2
@@ -164,6 +202,37 @@ class TestSweepCommand:
                                       "bits_per_message": [30],
                                       "codebooks": 1}})
         assert main(["sweep", "--config", cfg]) == 3
+
+
+BAD_CONFIGS = {
+    "count_text": ("sweep", '{"sweep": {"kind": "tightness", '
+                            '"count": "abc"}}'),
+    "i_max_negative": ("sweep", '{"sweep": {"kind": "tightness", '
+                                '"i_max": -1}}'),
+    "i_max_zero": ("sweep", '{"sweep": {"kind": "tightness", "i_max": 0}}'),
+    "count_overflow": ("sweep", '{"sweep": {"kind": "tightness", '
+                                '"count": 1e309}}'),
+    "count_null": ("capacity", '{"capacity": {"random_sweep": '
+                               '{"count": null}}}'),
+    "sweep_not_object": ("capacity", '{"capacity": {"random_sweep": 5}}'),
+    "i_max_overflow": ("capacity", '{"capacity": {"random_sweep": '
+                                   '{"i_max": 1e309}}}'),
+    "budget_text": ("sweep", '{"sweep": {"kind": "leakage", '
+                             '"bits_per_message": ["x"]}}'),
+    "budgets_not_list": ("sweep", '{"sweep": {"kind": "leakage", '
+                                  '"bits_per_message": 5}}'),
+    "trials_text": ("protocol", json.dumps(
+        {"protocol": dict(IDEAL_PROTOCOL, trials="z")})),
+}
+
+
+@pytest.mark.parametrize("command,text", BAD_CONFIGS.values(),
+                         ids=BAD_CONFIGS.keys())
+def test_bad_config_values_exit_2(tmp_path, capsys, command, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main([command, "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 class TestReproducibility:

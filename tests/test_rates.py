@@ -109,15 +109,6 @@ class TestConverseBound:
         assert res.per_m_cuts == pytest.approx([3.0, 2.5, 1.5], abs=1e-12)
         assert res.bound == pytest.approx(1.5, abs=1e-12)
 
-    def test_partition_rule(self):
-        # Alice set gets strictly larger Alice-side MIs; ties go to Bob.
-        res = rates.converse_bound([(2.0, 1.0), (1.0, 2.0), (1.5, 1.5)])
-        alice_set, bob_set = res.partitions[2]
-        assert alice_set == [0]
-        assert bob_set == [1]
-        tie_alice, tie_bob = res.partitions[0]
-        assert 2 in tie_bob and 2 not in tie_alice
-
     def test_tightness_random_instances(self):
         rng = np.random.Generator(np.random.PCG64(123))
         for _ in range(1000):
@@ -127,6 +118,71 @@ class TestConverseBound:
             i_vals = [min(a, b) for a, b in pair_mis]
             assert abs(rates.converse_bound(pair_mis).bound
                        - rates.capacity(i_vals)) <= 1e-12
+
+
+class TestConverseArray:
+    def test_rows_equal_one_instance_calls_exactly(self):
+        rng = np.random.Generator(np.random.PCG64(9))
+        for m in range(2, 14):
+            batch = rng.uniform(0.0, 4.0, (100, m, 2))
+            batch[::5, :, 1] = batch[::5, :1, 0]  # ties, within and across
+            got = rates.converse_bound(batch)
+            assert got.bound.shape == (100,)
+            assert got.per_m_cuts.shape == (100, m)
+            for row, bound, cuts in zip(batch, got.bound, got.per_m_cuts):
+                one = rates.converse_bound(row.tolist())
+                assert bound == one.bound
+                assert cuts.tolist() == one.per_m_cuts
+                i_vals = [min(a, b) for a, b in row.tolist()]
+                total = 0.0
+                for v in i_vals:
+                    total += v
+                assert one.per_m_cuts == [total - v for v in i_vals]
+
+    def test_bound_equals_capacity_exactly(self):
+        rng = np.random.Generator(np.random.PCG64(10))
+        for m in (2, 7, 13):
+            batch = rng.uniform(0.0, 1e6, (500, m, 2))
+            i_vals = np.minimum(batch[..., 0], batch[..., 1])
+            assert (rates.converse_bound(batch).bound
+                    == rates.capacity(i_vals)).all()
+
+    def test_zero_padded_relays_change_nothing(self):
+        rng = np.random.Generator(np.random.PCG64(11))
+        for m in range(2, 9):
+            pairs = rng.uniform(0.0, 4.0, (m, 2))
+            padded = np.zeros((m + 3, 2))
+            padded[:m] = pairs
+            i_vals = np.minimum(pairs[:, 0], pairs[:, 1])
+            i_padded = np.minimum(padded[:, 0], padded[:, 1])
+            assert rates.capacity(i_padded) == rates.capacity(i_vals)
+            assert (rates.converse_bound(padded).bound
+                    == rates.converse_bound(pairs).bound)
+
+    def test_one_instance_gives_float_and_list(self):
+        for source in ([(0.5, 0.6), (1.0, 1.2)],
+                       np.array([[0.5, 0.6], [1.0, 1.2]])):
+            res = rates.converse_bound(source)
+            assert type(res.bound) is float
+            assert type(res.per_m_cuts) is list
+            assert all(type(c) is float for c in res.per_m_cuts)
+
+    def test_leading_axes_kept(self):
+        res = rates.converse_bound(np.ones((2, 3, 4, 2)))
+        assert res.bound.shape == (2, 3)
+        assert res.per_m_cuts.shape == (2, 3, 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5])
+    def test_rejects_bad_entries(self, bad):
+        batch = np.ones((5, 3, 2))
+        batch[2, 1, 0] = bad
+        with pytest.raises(ValueError):
+            rates.converse_bound(batch)
+
+    @pytest.mark.parametrize("shape", [(4, 1, 2), (4, 3, 3), (2,), ()])
+    def test_rejects_bad_shapes(self, shape):
+        with pytest.raises(ValueError):
+            rates.converse_bound(np.ones(shape))
 
 
 class TestXorBaseline:

@@ -218,6 +218,19 @@ class TestOptimizeAllocation:
         assert opt.method == "coordinate_ascent"
         assert sum(opt.allocation) == 400
 
+    def test_exact_above_one_million_compositions(self, monkeypatch):
+        # M=4, T=45 has 1,086,008 compositions.  Coordinate ascent stops
+        # at a lower rate on this instance; the exact search must not.
+        args = (4, 45, 1.0, 1.0,
+                [(0.52, 1.9), (0.63, 1.77), (1.05, 1.93), (1.1, 1.9)])
+        assert math.comb(44, 5) == 1_086_008
+        exact = optimize_allocation(*args)
+        monkeypatch.setattr(wireless, "_EXHAUSTIVE_LIMIT", 0)
+        ascent = optimize_allocation(*args)
+        assert exact.method == "exhaustive"
+        assert ascent.method == "coordinate_ascent"
+        assert exact.r_key >= ascent.r_key
+
 
 class TestMultiplexingGain:
     def test_high_power_ratios(self):
