@@ -48,6 +48,14 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _check_seed(seed) -> int:
+    # bool is an int subclass, but JSON true is not a seed.
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, "
+                          f"got {seed!r}")
+    return seed
+
+
 def _config_digest(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -282,7 +290,7 @@ def run_sweep(config: dict, seed: int, out: Optional[str],
             codebooks = int(block.get("codebooks", 100))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"sweep: {exc}") from exc
-        if m < 2 or codebooks < 1 or not budgets:
+        if m < 2 or codebooks < 1 or not budgets or min(budgets) < 0:
             raise ConfigError("invalid leakage sweep parameters")
         table = []
         for b in budgets:
@@ -325,8 +333,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        seed = args.seed if args.seed is not None else int(config.get("seed",
-                                                                      0))
+        seed = _check_seed(args.seed if args.seed is not None
+                           else config.get("seed", 0))
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         if args.command == "capacity":

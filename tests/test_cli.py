@@ -223,6 +223,8 @@ BAD_CONFIGS = {
                                   '"bits_per_message": 5}}'),
     "trials_text": ("protocol", json.dumps(
         {"protocol": dict(IDEAL_PROTOCOL, trials="z")})),
+    "budget_negative": ("sweep", '{"sweep": {"kind": "leakage", '
+                                 '"bits_per_message": [-1]}}'),
 }
 
 
@@ -233,6 +235,29 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, text):
     path.write_text(text)
     assert main([command, "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+BAD_SEEDS = {
+    "text": ({"seed": "abc"}, []),
+    "negative": ({"seed": -3}, []),
+    "fraction": ({"seed": 1.5}, []),
+    "boolean": ({"seed": True}, []),
+    "null": ({"seed": None}, []),
+    "negative_flag": ({"seed": 3}, ["--seed", "-3"]),
+}
+
+
+@pytest.mark.parametrize("command,section", [
+    ("protocol", IDEAL_PROTOCOL),
+    ("sweep", {"kind": "tightness", "count": 2}),
+])
+@pytest.mark.parametrize("seed_config,flags", BAD_SEEDS.values(),
+                         ids=BAD_SEEDS.keys())
+def test_bad_seed_exit_2(tmp_path, capsys, command, section, seed_config,
+                         flags):
+    cfg = write_config(tmp_path, {**seed_config, command: section})
+    assert main([command, "--config", cfg, *flags]) == 2
+    assert "config error: seed must be" in capsys.readouterr().err
 
 
 class TestReproducibility:

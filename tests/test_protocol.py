@@ -1,12 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from pinkey import model, protocol
-from pinkey.bitops import int_to_bits
-from pinkey.errors import BlockUncorrectable, ReconciliationFailure
+from pinkey.bitops import as_bits, int_to_bits
+from pinkey.errors import (BlockUncorrectable, InvariantViolation,
+                           ReconciliationFailure)
 from pinkey.model import PairSource, PinInstance, ProtocolParams
 from pinkey.protocol import (PairwiseKeys, Transcript, agree_keys,
                              alice_common, bob_common, reconcile_pair,
@@ -24,6 +26,25 @@ def dsbs_instance(crossovers, n, seed=0):
     pairs = [PairSource.dsbs(p, p) for p in crossovers]
     return PinInstance(m=len(pairs), pairs=pairs,
                        params=ProtocolParams(n=n, seed=seed))
+
+
+def _toeplitz_diag(k, out_len):
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=protocol._COMPRESSION_SEED,
+                               spawn_key=(k, out_len))))
+    return rng.integers(0, 2, size=out_len + k - 1, dtype=np.uint8)
+
+
+def _toeplitz_oracle(bits, out_len):
+    """The compression hash as a dense out_len x k matrix product."""
+    bits = as_bits(bits)
+    if out_len <= 0:
+        return np.zeros(0, dtype=np.uint8)
+    diag = _toeplitz_diag(bits.size, out_len)
+    rows = np.arange(out_len)[:, None]
+    cols = np.arange(bits.size)[None, :]
+    matrix = diag[rows - cols + bits.size - 1]
+    return (matrix @ bits % 2).astype(np.uint8)
 
 
 class TestTranscript:
@@ -189,6 +210,69 @@ class TestReconcilePair:
             reconcile_pair([0] * 7, [0] * 14, 0.1)
         with pytest.raises(ValueError):
             reconcile_pair([0] * 6, [0] * 6, 0.1)
+
+
+# (k, out_len): empty input, one bit, more output than input, and
+# convolution lengths out_len + k - 1 and inputs k one below, at and one
+# above a power of two.
+TOEPLITZ_GRID = [(0, 5), (1, 1), (3, 10), (9, 40), (8, 3)] + [
+    case for p in (64, 1024) for d in (-1, 0, 1)
+    for case in ((p + d, p // 2), (p // 2, p + d - p // 2 + 1),
+                 (p + d, p + d))]
+
+
+class TestToeplitzHash:
+    @pytest.mark.parametrize("k,out_len", TOEPLITZ_GRID)
+    def test_equals_dense_oracle(self, k, out_len):
+        rng = np.random.Generator(np.random.PCG64(k * 7919 + out_len))
+        bits = rng.integers(0, 2, (3, k), dtype=np.uint8)
+        bits[0] = 1   # the largest counts the rounding must reproduce
+        got = protocol._toeplitz_hash(bits, out_len)
+        assert got.dtype == np.uint8 and got.shape == (3, out_len)
+        for row, key in zip(bits, got):
+            assert (key == _toeplitz_oracle(row, out_len)).all()
+
+    def test_batched_rows_equal_single_rows(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        bits = rng.integers(0, 2, (2, 1000), dtype=np.uint8)
+        batched = protocol._toeplitz_hash(bits, 700)
+        for row, key in zip(bits, batched):
+            assert (protocol._toeplitz_hash(row[None], 700)[0] == key).all()
+
+    def test_memory_linear_in_k(self):
+        # A dense hash matrix would take about 10^6 * k bytes here.
+        k = 200_000
+        bits = np.random.Generator(np.random.PCG64(6)).integers(
+            0, 2, (2, k), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            protocol._toeplitz_hash(bits, 3 * k // 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * k
+
+    def test_rounding_guard(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft",
+                            lambda *a, **kw: irfft(*a, **kw) + 0.3)
+        with pytest.raises(InvariantViolation):
+            protocol._toeplitz_hash(np.ones((1, 8), dtype=np.uint8), 4)
+
+    def test_million_bit_pair_matches_oracle_rows(self):
+        # n = 1,000,006: k = 571,432 raw bits hashed to 428,574; a dense
+        # matrix is out of reach, so sampled rows are checked one by one.
+        rng = np.random.Generator(np.random.PCG64(7))
+        seq = rng.integers(0, 2, 1_000_006, dtype=np.uint8)
+        res = reconcile_pair(seq, seq, 0.05)
+        raw = seq.reshape(-1, 7)[:, [2, 4, 5, 6]].ravel().astype(np.int64)
+        k, out_len = raw.size, res.key_terminal.size
+        assert (k, out_len) == (571_432, 428_574)
+        assert (res.key_terminal == res.key_relay).all()
+        diag = _toeplitz_diag(k, out_len)
+        for i in [0, 1, out_len - 1, *rng.integers(0, out_len, 12)]:
+            row = diag[i - np.arange(k) + k - 1]
+            assert res.key_terminal[i] == row @ raw % 2
 
 
 class TestAgreeKeysNoisy:
