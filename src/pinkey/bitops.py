@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -16,18 +18,18 @@ def as_bits(x) -> np.ndarray:
 def bits_to_int(bits) -> int:
     """Big-endian bit vector to a Python int (empty vector -> 0)."""
     arr = as_bits(bits)
-    value = 0
-    for b in arr.tolist():
-        value = (value << 1) | b
-    return value
+    # packbits zero-pads the last byte on the right; shift the pad out.
+    return int.from_bytes(np.packbits(arr).tobytes(), "big") >> (-arr.size % 8)
 
 
 def int_to_bits(value: int, width: int) -> np.ndarray:
     """Python int to a big-endian bit vector of the given width."""
+    value = operator.index(value)
     if value < 0 or value >= (1 << width):
         raise ValueError(f"{value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)],
-                    dtype=np.uint8)
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8)
+    return np.unpackbits(raw)[8 * nbytes - width:]
 
 
 def bits_to_hex(bits) -> str:

@@ -4,7 +4,9 @@ The codebook uniformly partitions the product space of all common
 messages into equal-size bins via a seeded shuffle; the bin index of the
 realized message tuple is the private key.  The bijection is stored
 explicitly (forward and inverse arrays) so downstream information
-measures are exact.  Enumeration is capped at 2^24 codewords.
+measures are exact.  The scatter that builds the inverse also checks, in
+linear time, that the forward array is a permutation.  Enumeration is
+capped at 2^24 codewords.
 """
 
 from __future__ import annotations
@@ -34,6 +36,13 @@ class RbCodebook:
     ``message_bits[i]`` is the bit width of relay i's common message.
     ``position[w]`` is the shuffled position of flat codeword index w;
     bin index = position >> bin_bits, within-bin index = the low bits.
+    ``inverse`` is the inverse permutation (both int64).
+
+    ``position`` is validated in linear time: every entry must lie in
+    [0, 2^total_bits), and the scatter ``inverse[position] = arange`` into
+    an array filled with -1 must hit every slot.  That many in-range
+    values hitting every slot are a permutation, by pigeonhole; anything
+    else raises ``ValueError``.
     """
 
     def __init__(self, message_bits: Sequence[int], key_bits: int,
@@ -47,13 +56,15 @@ class RbCodebook:
             raise ValueError("key_bits must lie in [0, sum(message_bits)]")
         total = 1 << self.total_bits
         pos = np.asarray(position, dtype=np.int64)
-        if pos.shape != (total,) or not np.array_equal(np.sort(pos),
-                                                       np.arange(total)):
+        # total in-range values that hit every slot are a permutation.
+        inverse = np.full(total, -1, dtype=np.int64)
+        if pos.shape == (total,) and pos.min() >= 0 and pos.max() < total:
+            inverse[pos] = np.arange(total)
+        if inverse.min() < 0:
             raise ValueError("position array is not a permutation of the "
                              "message space")
         self.position = pos
-        self.inverse = np.empty(total, dtype=np.int64)
-        self.inverse[pos] = np.arange(total)
+        self.inverse = inverse
 
     @property
     def num_bins(self) -> int:
@@ -106,7 +117,7 @@ def build_codebook(rates_bits: Sequence[int], key_bits: int,
         raise BudgetExceeded(f"message space of 2^{total_bits} codewords "
                              f"exceeds the 2^{_ENUM_BUDGET_BITS} budget")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    position = rng.permutation(1 << total_bits).astype(np.int64)
+    position = rng.permutation(1 << total_bits).astype(np.int64, copy=False)
     return RbCodebook(rates_bits, key_bits, position, seed=seed)
 
 

@@ -114,7 +114,8 @@ class LeakageAudit:
 
 
 def codebook_key_of_all(codebook: RbCodebook) -> np.ndarray:
-    """Bin index of every message tuple, in flat (row-major) order."""
+    """Bin index of every message tuple, in flat (row-major) order, as a
+    fresh array."""
     return codebook.position >> codebook.bin_bits
 
 
@@ -124,18 +125,23 @@ def leakage_audit(codebook: RbCodebook, relay: int) -> LeakageAudit:
     Assumes the message tuple is uniform over the product space, which is
     exact in ideal-common mode; noisy-pair instances must use
     :func:`empirical_mi` instead.
+
+    The joint (K, W_m) counts come from one ``np.bincount`` over the
+    codes ``(k << b_m) | w_m`` of all codewords, one linear pass per relay.
     """
     if not 0 <= relay < len(codebook.message_bits):
         raise ValueError(f"relay index out of range: {relay}")
     total = 1 << codebook.total_bits
     b_m = codebook.message_bits[relay]
     shift = sum(codebook.message_bits[relay + 1:])
-    flat = np.arange(total, dtype=np.int64)
-    w_m = (flat >> shift) & ((1 << b_m) - 1)
-    k = codebook_key_of_all(codebook)
-
-    counts = np.zeros((codebook.num_bins, 1 << b_m), dtype=np.int64)
-    np.add.at(counts, (k, w_m), 1)
+    code = codebook_key_of_all(codebook)
+    code <<= b_m
+    # In row-major flat order W_m is the middle axis of this view, so the
+    # codes are built in place in the fresh key array.
+    by_wm = code.reshape(-1, 1 << b_m, 1 << shift)
+    by_wm |= np.arange(1 << b_m)[:, None]
+    counts = np.bincount(code, minlength=codebook.num_bins << b_m).reshape(
+        codebook.num_bins, 1 << b_m)
     pmf = JointPmf(counts / total)
     mi = exact_mi(pmf, (0,), (1,))
 

@@ -117,10 +117,6 @@ class Transcript:
     def total_bits(self) -> int:
         return sum(r.payload.size for r in self.rounds)
 
-    def rate_log(self, n: int) -> List[float]:
-        """Per-round public rate in bits per source repetition."""
-        return [r.payload.size / n for r in self.rounds]
-
     def to_jsonl(self) -> str:
         lines = []
         for r in self.rounds:

@@ -57,9 +57,25 @@ class TestBuildCodebook:
         with pytest.raises(BudgetExceeded):
             build_codebook([13, 13], 4, seed=0)
 
-    def test_rejects_non_permutation(self):
+    @pytest.mark.parametrize("position", [
+        [0, 0, 1, 2],           # a duplicate entry
+        [0, 1, 2, 4],           # a value equal to total
+        [0, 1, 2, -1],          # negative: the scatter would still fill
+        [0, 1, 2],              # too short
+        [0, 1, 2, 3, 0],        # too long
+        [[0, 1], [2, 3]],       # 2-D, of the right size
+    ], ids=["duplicate", "total", "negative", "short", "long", "2d"])
+    def test_rejects_non_permutation(self, position):
         with pytest.raises(ValueError):
-            RbCodebook([1, 1], 1, np.array([0, 0, 1, 2]))
+            RbCodebook([1, 1], 1, np.array(position))
+
+    def test_inverse_is_argsort(self):
+        for seed, widths in enumerate([[0], [1], [2, 3], [4, 0, 4],
+                                       [5, 5, 5, 5]]):
+            cb = build_codebook(widths, sum(widths) // 2, seed=seed)
+            assert cb.position.dtype == cb.inverse.dtype == np.int64
+            np.testing.assert_array_equal(cb.inverse,
+                                          np.argsort(cb.position))
 
 
 class TestDistill:

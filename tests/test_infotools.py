@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from pinkey import distillation, infotools
 from pinkey.distillation import RbCodebook, build_codebook
 from pinkey.errors import BudgetExceeded, InvariantViolation
-from pinkey.infotools import JointPmf, empirical_mi, exact_entropy, exact_mi
+from pinkey.infotools import (JointPmf, LeakageAudit, empirical_mi,
+                              exact_entropy, exact_mi)
 from pinkey.model import binary_entropy
 
 
@@ -160,6 +162,72 @@ class TestLeakageAudit:
     def test_rejects_bad_relay(self):
         with pytest.raises(ValueError):
             infotools.leakage_audit(parity_codebook(), 5)
+
+
+def _leakage_oracle(codebook, relay):
+    """The audit before it became one bincount: joint counts by
+    ``np.add.at`` over index arrays, then the same entropy terms."""
+    total = 1 << codebook.total_bits
+    b_m = codebook.message_bits[relay]
+    shift = sum(codebook.message_bits[relay + 1:])
+    flat = np.arange(total, dtype=np.int64)
+    w_m = (flat >> shift) & ((1 << b_m) - 1)
+    k = codebook.position >> codebook.bin_bits
+    counts = np.zeros((codebook.num_bins, 1 << b_m), dtype=np.int64)
+    np.add.at(counts, (k, w_m), 1)
+    mi = exact_mi(JointPmf(counts / total), (0,), (1,))
+    h_wm = float(b_m)
+    h_all_given_key = float(codebook.bin_bits)
+    nz = counts[counts > 0]
+    h_all_given_wm_key = float(np.sum((nz / total) * np.log2(nz)))
+    residual = abs(mi - (h_wm - h_all_given_key + h_all_given_wm_key))
+    return LeakageAudit(relay=relay, mi_bits=mi, h_wm=h_wm,
+                        h_all_given_key=h_all_given_key,
+                        h_all_given_wm_key=h_all_given_wm_key,
+                        decomposition_residual=residual)
+
+
+def _seeded_codebooks():
+    rng = np.random.Generator(np.random.PCG64(11))
+    for m in range(1, 6):
+        for _ in range(8):
+            widths = [int(b) for b in rng.integers(0, 4, m)]
+            total = sum(widths)
+            for key_bits in sorted({0, int(rng.integers(0, total + 1)),
+                                    total}):
+                yield build_codebook(widths, key_bits,
+                                     seed=int(rng.integers(1 << 30)))
+    yield build_codebook([3, 0, 2], 3, seed=1)     # a zero-width message
+    yield build_codebook([0], 0, seed=2)           # total_bits = 0
+    yield build_codebook([0, 0, 0], 0, seed=3)
+
+
+class TestLeakageAuditOracle:
+    def test_equals_add_at_oracle(self):
+        cases = 0
+        for cb in _seeded_codebooks():
+            for m in range(len(cb.message_bits)):
+                assert infotools.leakage_audit(cb, m) == \
+                    _leakage_oracle(cb, m)
+                cases += 1
+        assert cases > 300
+
+    def test_equals_oracle_at_two_to_the_twenty(self):
+        cb = build_codebook([5, 5, 5, 5], 13, seed=4)
+        for m in (0, 3):
+            assert infotools.leakage_audit(cb, m) == _leakage_oracle(cb, m)
+
+    def test_memory_of_one_large_audit(self):
+        # One int64 code per codeword plus small tables; the oracle's
+        # index arrays alone need three times that.
+        cb = build_codebook([5, 5, 5, 5], 13, seed=4)
+        tracemalloc.start()
+        try:
+            infotools.leakage_audit(cb, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * (1 << 20)
 
 
 class TestEmpiricalMi:
