@@ -8,8 +8,8 @@ channel-estimation rate evaluation.
 
 from .distillation import KeyIndex, RbCodebook, build_codebook, distill, \
     invert, xor_distill
-from .errors import (BlockUncorrectable, BudgetExceeded, ConfigError,
-                     InvariantViolation, PinkeyError, ReconciliationFailure)
+from .errors import (BudgetExceeded, ConfigError, InvariantViolation,
+                     PinkeyError, ReconciliationFailure)
 from .infotools import JointPmf, empirical_mi, exact_entropy, exact_mi, \
     leakage_audit
 from .model import (PairSource, PinInstance, ProtocolParams,

@@ -48,9 +48,17 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _config_int(value, what: str) -> int:
+    """``value`` itself if it is a JSON integer; a fraction, a string or
+    a boolean is a config error, never truncated or coerced."""
+    # bool is an int subclass, but JSON true is not a number.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _check_seed(seed) -> int:
-    # bool is an int subclass, but JSON true is not a seed.
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if _config_int(seed, "seed") < 0:
         raise ConfigError(f"seed must be a non-negative integer, "
                           f"got {seed!r}")
     return seed
@@ -107,10 +115,10 @@ def _tightness_sweep(block: dict, seed: int, where: str) -> dict:
     which changes neither rate, and both rates are evaluated once over
     the whole (count, m_max, 2) array.
     """
+    count = _config_int(block.get("count", 1000), f"{where}.count")
+    m_min = _config_int(block.get("m_min", 2), f"{where}.m_min")
+    m_max = _config_int(block.get("m_max", 6), f"{where}.m_max")
     try:
-        count = int(block.get("count", 1000))
-        m_min = int(block.get("m_min", 2))
-        m_max = int(block.get("m_max", 6))
         i_max = float(block.get("i_max", 4.0))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
@@ -173,17 +181,18 @@ def run_protocol(config: dict, seed: int, out: Optional[str]) -> None:
                 "protocol")
     try:
         instance = PinInstance(
-            m=int(block["m"]),
+            m=_config_int(block["m"], "protocol.m"),
             pairs=_parse_pairs(block["pairs"]),
-            params=ProtocolParams(n=int(block.get("n", 1)),
-                                  epsilon_bits=int(block.get("epsilon_bits",
-                                                             1)),
-                                  seed=seed),
+            params=ProtocolParams(
+                n=_config_int(block.get("n", 1), "protocol.n"),
+                epsilon_bits=_config_int(block.get("epsilon_bits", 1),
+                                         "protocol.epsilon_bits"),
+                seed=seed),
         )
-        trials = int(block.get("trials", 1))
+        trials = _config_int(block.get("trials", 1), "protocol.trials")
     except KeyError as exc:
         raise ConfigError(f"protocol section missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"protocol section: {exc}") from exc
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -205,7 +214,7 @@ def run_protocol(config: dict, seed: int, out: Optional[str]) -> None:
             first_digest = result.transcript.digest()
             key_bits = result.key_bits
         mismatches += int(not result.agreed)
-        rates_seen.append(result.achieved_rates)
+        rates_seen.append(result.keys.rates)
         if result.leakage is not None:
             leakage_max.append(max(a.mi_bits for a in result.leakage))
     completed = trials - failures
@@ -237,8 +246,8 @@ def run_wireless(config: dict, seed: int, out: Optional[str],
         raise ConfigError("wireless.power_grid must be a nonempty list")
     opt = None
     try:
-        m = int(block["m"])
-        slot = int(block.get("slot", 2))
+        m = _config_int(block["m"], "wireless.m")
+        slot = _config_int(block.get("slot", 2), "wireless.slot")
         noise_var = float(block.get("noise_var", 1.0))
         channel_var = float(block.get("channel_var", 1.0))
         rows = wireless.multiplexing_gain_sweep(m, p_grid, slot=slot,
@@ -246,7 +255,8 @@ def run_wireless(config: dict, seed: int, out: Optional[str],
                                                 channel_var=channel_var)
         if block.get("optimize", False):
             opt = wireless.optimize_allocation(
-                m, int(block.get("block_len", slot * (m + 2))),
+                m, _config_int(block.get("block_len", slot * (m + 2)),
+                               "wireless.block_len"),
                 float(block.get("power", 1.0)), noise_var,
                 block.get("channel_vars", [[channel_var, channel_var]] * m),
                 seed=seed)
@@ -283,13 +293,14 @@ def run_sweep(config: dict, seed: int, out: Optional[str],
     if kind == "tightness":
         results = {"kind": kind, **_tightness_sweep(block, seed, "sweep")}
     elif kind == "leakage":
-        try:
-            m = int(block.get("m", 2))
-            budgets = [int(b) for b in block.get("bits_per_message",
-                                                 [2, 4, 6, 8])]
-            codebooks = int(block.get("codebooks", 100))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"sweep: {exc}") from exc
+        m = _config_int(block.get("m", 2), "sweep.m")
+        budgets = block.get("bits_per_message", [2, 4, 6, 8])
+        if not isinstance(budgets, list):
+            raise ConfigError("sweep.bits_per_message must be a list")
+        budgets = [_config_int(b, "sweep.bits_per_message[]")
+                   for b in budgets]
+        codebooks = _config_int(block.get("codebooks", 100),
+                                "sweep.codebooks")
         if m < 2 or codebooks < 1 or not budgets or min(budgets) < 0:
             raise ConfigError("invalid leakage sweep parameters")
         table = []

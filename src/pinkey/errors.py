@@ -21,14 +21,6 @@ class InvariantViolation(PinkeyError):
     """A numerical result violated a hard invariant (e.g. MI < -1e-9)."""
 
 
-class BlockUncorrectable(PinkeyError):
-    """A reconciliation block failed its consistency check."""
-
-    def __init__(self, block_index: int):
-        self.block_index = block_index
-        super().__init__(f"block {block_index} failed the per-block checksum")
-
-
 class ReconciliationFailure(PinkeyError):
     """Pairwise key agreement failed for one relay pair."""
 

@@ -142,6 +142,9 @@ def leakage_audit(codebook: RbCodebook, relay: int) -> LeakageAudit:
     by_wm |= np.arange(1 << b_m)[:, None]
     counts = np.bincount(code, minlength=codebook.num_bins << b_m).reshape(
         codebook.num_bins, 1 << b_m)
+    # Nothing reads the codes after the count; free them before the
+    # entropy tables are allocated.
+    del code, by_wm
     pmf = JointPmf(counts / total)
     mi = exact_mi(pmf, (0,), (1,))
 

@@ -18,6 +18,7 @@ pair's parameters never perturbs another pair's realization.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -53,6 +54,12 @@ class PairSource:
         if self.mode not in (MODE_IDEAL, MODE_DSBS):
             raise ValueError(f"unknown pair mode: {self.mode!r}")
         if self.mode == MODE_IDEAL:
+            for bits in (self.bits_a, self.bits_b):
+                # bool is Integral, but true is not a bit count.
+                if (isinstance(bits, bool)
+                        or not isinstance(bits, numbers.Integral)):
+                    raise ValueError(f"shared bit counts must be "
+                                     f"integers, got {bits!r}")
             if self.bits_a < 0 or self.bits_b < 0:
                 raise ValueError("shared bit counts must be >= 0")
         else:

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
-
-import numpy as np
 
 from . import distillation, infotools, model, protocol
 from .bitops import bits_to_int
-from .distillation import RbCodebook
 from .model import MODE_IDEAL, PinInstance
 from .protocol import PairwiseKeys, Transcript
+
+# Enumeration budget of the explicit codebook, in total message bits.
+_MAX_TOTAL_BITS = 20
 
 
 @dataclass
@@ -21,13 +21,9 @@ class PipelineResult:
     key_bits: int
     message_bits: List[int]
     truncated: bool
-    achieved_rates: List[float]
     transcript: Transcript
-    codebook: RbCodebook
     keys: PairwiseKeys
     leakage: Optional[List[infotools.LeakageAudit]]
-    xor_key_alice: np.ndarray
-    xor_key_bob: np.ndarray
 
     @property
     def agreed(self) -> bool:
@@ -48,26 +44,25 @@ def _truncation(message_bits: List[int], budget: int) -> List[int]:
     return [b * budget // total for b in message_bits]
 
 
-def run_once(instance: PinInstance, sample_seed: int, codebook_seed: int,
-             audit: bool = True, max_total_bits: int = 20) -> PipelineResult:
+def run_once(instance: PinInstance, sample_seed: int,
+             codebook_seed: int) -> PipelineResult:
     """One full protocol execution for one sampled realization.
 
-    When the agreed common messages jointly exceed ``max_total_bits``
-    (possible for long noisy-pair runs), each is truncated to a
-    proportional prefix so the explicit codebook stays at desk scale; the
-    result is flagged.  The leakage audit is exact and only valid in
-    ideal-common mode; it is skipped automatically for instances
-    containing noisy pairs.
+    When the agreed common messages jointly exceed 20 bits (possible for
+    long noisy-pair runs), each is truncated to a proportional prefix so
+    the explicit codebook stays at desk scale; the result is flagged.
+    The exact per-relay leakage audit runs when every pair is ideal,
+    the only mode in which it is valid; otherwise ``leakage`` is None.
+    The codebook is not returned, so it is freed with the run.
     """
     realization = model.sample(instance, sample_seed)
     keys, transcript = protocol.agree_keys(realization, instance)
-    payloads = protocol.xor_payloads(keys)
-    protocol.xor_broadcast(keys, transcript)
+    payloads = protocol.xor_broadcast(keys, transcript)
 
     w_alice = protocol.alice_common(keys, payloads)
     w_bob = protocol.bob_common(keys, payloads)
     full_bits = [w.size for w in keys.common]
-    message_bits = _truncation(full_bits, max_total_bits)
+    message_bits = _truncation(full_bits, _MAX_TOTAL_BITS)
     truncated = message_bits != full_bits
     if truncated:
         w_alice = [w[:b] for w, b in zip(w_alice, message_bits)]
@@ -80,9 +75,8 @@ def run_once(instance: PinInstance, sample_seed: int, codebook_seed: int,
     key_bob = distillation.distill(codebook,
                                    [bits_to_int(w) for w in w_bob]).k
 
-    all_ideal = all(p.mode == MODE_IDEAL for p in instance.pairs)
     leakage = None
-    if audit and all_ideal:
+    if all(p.mode == MODE_IDEAL for p in instance.pairs):
         leakage = [infotools.leakage_audit(codebook, m)
                    for m in range(instance.m)]
     return PipelineResult(
@@ -91,11 +85,7 @@ def run_once(instance: PinInstance, sample_seed: int, codebook_seed: int,
         key_bits=key_bits,
         message_bits=message_bits,
         truncated=truncated,
-        achieved_rates=keys.rates,
         transcript=transcript,
-        codebook=codebook,
         keys=keys,
         leakage=leakage,
-        xor_key_alice=distillation.xor_distill(w_alice),
-        xor_key_bob=distillation.xor_distill(w_bob),
     )

@@ -32,8 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bitops import as_bits, bits_to_hex
-from .errors import (BlockUncorrectable, InvariantViolation,
-                     ReconciliationFailure)
+from .errors import InvariantViolation, ReconciliationFailure
 from .model import (MODE_DSBS, MODE_IDEAL, PinInstance, SourceRealization,
                     binary_entropy)
 
@@ -180,17 +179,16 @@ def compression_drop_per_block(crossover: float) -> int:
     return math.ceil(_BLOCK * binary_entropy(crossover) / 4.0)
 
 
-def reconcile_pair(seq_terminal, seq_relay, crossover: float,
-                   on_bad_block: str = "discard") -> ReconcileResult:
+def reconcile_pair(seq_terminal, seq_relay,
+                   crossover: float) -> ReconcileResult:
     """Syndrome-based one-way reconciliation of two correlated sequences.
 
     The relay publishes, per 7-bit block, the Hamming(7,4) syndrome and
     the block parity.  The terminal corrects at most one flip per block;
-    a parity mismatch after correction flags the block, which is either
-    discarded (default) or raised as :class:`BlockUncorrectable`
-    (``on_bad_block="raise"``).  Both sides keep the 4 information
-    positions of each surviving block and compress them through the fixed
-    public hash.
+    a parity mismatch after correction discards the block, and
+    ``kept_mask`` says which blocks survive.  Both sides keep the 4
+    information positions of each surviving block and compress them
+    through the fixed public hash.
     """
     term = as_bits(seq_terminal)
     relay = as_bits(seq_relay)
@@ -199,8 +197,6 @@ def reconcile_pair(seq_terminal, seq_relay, crossover: float,
     if term.size == 0 or term.size % _BLOCK:
         raise ValueError(f"sequence length must be a positive multiple "
                          f"of {_BLOCK}")
-    if on_bad_block not in ("discard", "raise"):
-        raise ValueError(f"unknown bad-block policy: {on_bad_block!r}")
 
     term_blocks = term.reshape(-1, _BLOCK).copy()
     relay_blocks = relay.reshape(-1, _BLOCK)
@@ -217,8 +213,6 @@ def reconcile_pair(seq_terminal, seq_relay, crossover: float,
     # the parity check exactly when the parity bits differ iff a bit was
     # flipped.
     kept = diff[:, 3] == (err_pos != 0)
-    if on_bad_block == "raise" and not kept.all():
-        raise BlockUncorrectable(int(np.flatnonzero(~kept)[0]))
 
     raw = np.stack([term_blocks[kept][:, _INFO_POSITIONS].ravel(),
                     relay_blocks[kept][:, _INFO_POSITIONS].ravel()])
@@ -322,11 +316,14 @@ def xor_payloads(keys: PairwiseKeys) -> List[np.ndarray]:
     return out
 
 
-def xor_broadcast(keys: PairwiseKeys, transcript: Transcript) -> Transcript:
-    """Log every relay's XOR payload at its scheduled round."""
-    for i, payload in enumerate(xor_payloads(keys)):
+def xor_broadcast(keys: PairwiseKeys,
+                  transcript: Transcript) -> List[np.ndarray]:
+    """Log every relay's XOR payload at its scheduled round and return
+    the payloads, as :func:`xor_payloads` computes them."""
+    payloads = xor_payloads(keys)
+    for i, payload in enumerate(payloads):
         transcript.append(relay_sender(i), payload)
-    return transcript
+    return payloads
 
 
 def _recover(own: np.ndarray, other_len: int, payload: np.ndarray,

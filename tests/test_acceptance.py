@@ -63,7 +63,7 @@ def test_03_end_to_end_key_agreement():
     mismatches = 0
     for seed in range(100):
         res = pipeline.run_once(inst, sample_seed=seed,
-                                codebook_seed=7000 + seed, audit=False)
+                                codebook_seed=7000 + seed)
         mismatches += int(not res.agreed)
     verdict(3, mismatches == 0,
             f"P(K_A != K_B) = 0 over 100 ideal-mode runs "

@@ -225,6 +225,22 @@ BAD_CONFIGS = {
         {"protocol": dict(IDEAL_PROTOCOL, trials="z")})),
     "budget_negative": ("sweep", '{"sweep": {"kind": "leakage", '
                                  '"bits_per_message": [-1]}}'),
+    "bits_fraction": ("protocol", json.dumps({"protocol": dict(
+        IDEAL_PROTOCOL, pairs=[{"mode": "ideal_common", "bits_a": 2.5,
+                                "bits_b": 1}] * 2)})),
+    "bits_boolean": ("protocol", json.dumps({"protocol": dict(
+        IDEAL_PROTOCOL, pairs=[{"mode": "ideal_common", "bits_a": True,
+                                "bits_b": 1}] * 2)})),
+    "trials_fraction": ("protocol", json.dumps(
+        {"protocol": dict(IDEAL_PROTOCOL, trials=2.7)})),
+    "codebooks_fraction": ("sweep", '{"sweep": {"kind": "leakage", '
+                                    '"codebooks": 1.5}}'),
+    "budget_fraction": ("sweep", '{"sweep": {"kind": "leakage", '
+                                 '"bits_per_message": [2.5]}}'),
+    "block_len_fraction": ("wireless", '{"wireless": {"m": 2, '
+                                       '"power_grid": [10.0], '
+                                       '"optimize": true, "power": 10.0, '
+                                       '"block_len": 8.9}}'),
 }
 
 

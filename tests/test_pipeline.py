@@ -1,0 +1,77 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pinkey import pipeline
+from pinkey.model import PairSource, PinInstance, ProtocolParams
+from pinkey.protocol import relay_sender, xor_payloads
+
+
+def ideal_instance(bit_pairs, n=1, epsilon_bits=1):
+    pairs = [PairSource.ideal_common(a, b) for a, b in bit_pairs]
+    return PinInstance(m=len(pairs), pairs=pairs,
+                       params=ProtocolParams(n=n, epsilon_bits=epsilon_bits))
+
+
+def dsbs_instance(m=2, n=70, crossover=0.0):
+    pairs = [PairSource.dsbs(crossover, crossover) for _ in range(m)]
+    return PinInstance(m=m, pairs=pairs, params=ProtocolParams(n=n))
+
+
+def test_ideal_run_audits_every_relay():
+    inst = ideal_instance([(2, 1), (1, 2), (2, 3)], n=2)
+    res = pipeline.run_once(inst, sample_seed=1, codebook_seed=2)
+    assert res.agreed
+    assert not res.truncated
+    assert res.message_bits == [2, 2, 4]
+    assert res.key_bits == pipeline.key_bits_for([2, 2, 4], 1)
+    assert [a.relay for a in res.leakage] == [0, 1, 2]
+    assert all(a.mi_bits >= 0.0 for a in res.leakage)
+
+
+def test_truncation_keeps_proportional_prefixes():
+    # Common messages of 12, 20 and 8 bits: 40 bits, twice the budget.
+    inst = ideal_instance([(3, 4), (5, 5), (2, 9)], n=4)
+    res = pipeline.run_once(inst, sample_seed=3, codebook_seed=4)
+    full = [w.size for w in res.keys.common]
+    assert full == [12, 20, 8]
+    assert res.truncated
+    assert res.message_bits == [b * 20 // 40 for b in full]
+    assert sum(res.message_bits) <= 20
+    assert res.agreed
+    assert len(res.leakage) == 3
+
+
+def test_noisy_run_skips_the_audit():
+    res = pipeline.run_once(dsbs_instance(), sample_seed=5, codebook_seed=6)
+    assert res.leakage is None
+    assert res.agreed
+
+
+@pytest.mark.parametrize("inst", [ideal_instance([(2, 1), (1, 2)], n=3),
+                                  dsbs_instance(m=3)],
+                         ids=["ideal", "dsbs"])
+def test_relay_rounds_carry_the_xor_payloads(inst):
+    res = pipeline.run_once(inst, sample_seed=7, codebook_seed=8)
+    broadcast = res.transcript.rounds[-inst.m:]
+    assert [r.sender for r in broadcast] == [relay_sender(i)
+                                            for i in range(inst.m)]
+    for rnd, payload in zip(broadcast, xor_payloads(res.keys)):
+        np.testing.assert_array_equal(rnd.payload, payload)
+
+
+def test_result_does_not_keep_the_codebook():
+    # A 2^20-codeword trial: its codebook holds 16 MiB of int64 arrays.
+    inst = ideal_instance([(5, 6)] * 4, epsilon_bits=2)
+    # A small run first, so modules imported lazily on a first call are
+    # not counted as kept.
+    pipeline.run_once(ideal_instance([(1, 1)] * 2), 0, 0)
+    tracemalloc.start()
+    try:
+        res = pipeline.run_once(inst, sample_seed=0, codebook_seed=1)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(res.message_bits) == 20
+    assert kept < 1 << 20

@@ -7,8 +7,7 @@ from scipy import stats
 
 from pinkey import model, protocol
 from pinkey.bitops import as_bits, int_to_bits
-from pinkey.errors import (BlockUncorrectable, InvariantViolation,
-                           ReconciliationFailure)
+from pinkey.errors import InvariantViolation, ReconciliationFailure
 from pinkey.model import PairSource, PinInstance, ProtocolParams
 from pinkey.protocol import (PairwiseKeys, Transcript, agree_keys,
                              alice_common, bob_common, reconcile_pair,
@@ -195,8 +194,6 @@ class TestReconcilePair:
             term[p2] ^= 1
             res = reconcile_pair(term, relay, 0.1)
             assert not res.kept_mask.any()
-            with pytest.raises(BlockUncorrectable):
-                reconcile_pair(term, relay, 0.1, on_bad_block="raise")
 
     def test_compression_drop(self):
         # crossover 0.11: ceil(7 * h2 / 4) = 1 dropped bit per block.
