@@ -159,7 +159,7 @@ def run_capacity(config: dict, seed: int, out: Optional[str]) -> None:
     if "pair_mis" in block:
         try:
             report = rates.rate_report(block["pair_mis"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"capacity.pair_mis: {exc}") from exc
         results["report"] = report.to_dict()
         results["tightness_gap"] = abs(report.capacity - report.converse)
@@ -260,7 +260,7 @@ def run_wireless(config: dict, seed: int, out: Optional[str],
                 float(block.get("power", 1.0)), noise_var,
                 block.get("channel_vars", [[channel_var, channel_var]] * m),
                 seed=seed)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"wireless section: {exc}") from exc
 
     digest = _config_digest(config)

@@ -25,6 +25,7 @@ from .errors import BudgetExceeded, InvariantViolation
 
 _TABLE_BUDGET = 1 << 24
 _NEG_CLAMP = 1e-9
+_BOOTSTRAP_CELLS = 1 << 18  # joint counts drawn per bootstrap chunk
 
 
 def entropy_bits(probs: np.ndarray) -> float:
@@ -190,6 +191,22 @@ def _plugin_mi(codes: np.ndarray, k_x: int, k_y: int) -> float:
     return h_x + h_y - h_xy
 
 
+def _plugin_mi_rows(joint: np.ndarray, k_x: int, k_y: int) -> np.ndarray:
+    """:func:`_plugin_mi` of every row of a (rows, k_x*k_y) count array,
+    equal up to the order of the entropy sums."""
+    n = joint[0].sum()
+    joint_p = (joint / n).reshape(-1, k_x, k_y)
+
+    def h_mm(p):
+        logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+        support = np.count_nonzero(p, axis=-1)
+        return -(p * logs).sum(axis=-1) + (support - 1) / (2.0 * n
+                                                           * math.log(2))
+
+    return (h_mm(joint_p.sum(axis=2)) + h_mm(joint_p.sum(axis=1))
+            - h_mm(joint_p.reshape(len(joint), -1)))
+
+
 def empirical_mi(x: Sequence[int], y: Sequence[int],
                  bootstrap: int = 1000, confidence: float = 0.95,
                  seed: int = 0) -> MiEstimate:
@@ -205,16 +222,22 @@ def empirical_mi(x: Sequence[int], y: Sequence[int],
         raise ValueError("paired sample arrays must have equal length")
     if x.size < 1000:
         raise ValueError("need at least 1000 samples")
+    if bootstrap < 1:
+        raise ValueError("need at least one bootstrap resample")
     k_x = int(x.max()) + 1
     k_y = int(y.max()) + 1
     codes = x * k_y + y
     point = _plugin_mi(codes, k_x, k_y)
 
+    # A resample of the n pairs is a multinomial draw of the joint counts.
     rng = np.random.Generator(np.random.PCG64(seed))
-    boots = np.empty(bootstrap)
-    for b in range(bootstrap):
-        resampled = rng.choice(codes, size=codes.size, replace=True)
-        boots[b] = _plugin_mi(resampled, k_x, k_y)
+    joint_p = np.bincount(codes, minlength=k_x * k_y) / x.size
+    rows = max(1, _BOOTSTRAP_CELLS // joint_p.size)
+    boots = np.concatenate([
+        _plugin_mi_rows(rng.multinomial(x.size, joint_p,
+                                        size=min(rows, bootstrap - b)),
+                        k_x, k_y)
+        for b in range(0, bootstrap, rows)])
     tail = (1.0 - confidence) / 2.0
     lo, hi = np.quantile(boots, [tail, 1.0 - tail])
     return MiEstimate(mi_bits=float(point), ci_low=float(lo),

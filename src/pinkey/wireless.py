@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from itertools import chain, combinations, islice
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,7 +25,7 @@ from . import rates
 
 _EXHAUSTIVE_LIMIT = 10_000_000
 _RESTARTS = 16
-_CHUNK_ROWS = 1024
+_SCORE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -132,18 +131,43 @@ def key_rate(config: WirelessConfig) -> WirelessRateReport:
     )
 
 
-def _composition_chunks(total: int, parts: int, rows: int = _CHUNK_ROWS):
-    """All ways to split total into `parts` positive integers, in the
-    lexicographic order of their cut points, as int arrays of at most
-    `rows` rows each."""
-    cuts = combinations(range(1, total), parts - 1)
-    while True:
-        flat = np.fromiter(chain.from_iterable(islice(cuts, rows)),
-                           dtype=np.int64)
-        if flat.size == 0:
-            return
-        yield np.diff(flat.reshape(-1, parts - 1), axis=1, prepend=0,
-                      append=total)
+def _relay_compositions(m: int, block_len: int):
+    """Relay slot counts of every allocation, grouped by relay budget.
+
+    Returns ``(rel, budget)``.  Column c of the (M, C(T-2, M)) array
+    ``rel`` is one way (t_1, ..., t_M) to give every relay at least one
+    slot, and ``budget[c]`` is its total R.  Budgets run from T-2 down to
+    M and each budget's compositions come in lexicographic order, so the
+    columns with R <= K are the last C(K, M).  Both arrays use the
+    narrowest unsigned dtype that holds T-2.
+
+    Filled in place from the last relay up: the trailing q relays of the
+    first C(top, q) columns hold every q-part composition of a budget of
+    at most ``top`` in the same order.  The compositions of budget b are
+    the (q-1)-part ones of budget at most b-1 (a suffix of the level
+    below) led by the slots left over for relay M-q.
+    """
+    longest = block_len - m - 1
+    dtype = np.min_scalar_type(block_len - 2)
+    rel = np.empty((m, math.comb(block_len - 2, m)), dtype=dtype)
+    rel[m - 1, :longest] = np.arange(longest, 0, -1)
+    for q in range(2, m + 1):
+        top, row = longest + q - 1, m - q
+        head = math.comb(top - 1, q - 1)
+        # lengths of the level-below blocks, budgets top-1 down to q-1
+        counts = [math.comb(r - 1, q - 2) for r in range(top - 1, q - 2, -1)]
+        pos = 0
+        for b in range(top, q - 1, -1):
+            n = math.comb(b - 1, q - 1)
+            if pos:
+                rel[row + 1:, pos:pos + n] = rel[row + 1:, head - n:head]
+            rel[row, pos:pos + n] = np.repeat(
+                np.arange(1, b - q + 2, dtype=dtype), counts[top - b:])
+            pos += n
+    budget = np.repeat(np.arange(block_len - 2, m - 1, -1, dtype=dtype),
+                       [math.comb(b - 1, m - 1)
+                        for b in range(block_len - 2, m - 1, -1)])
+    return rel, budget
 
 
 def _rate_table(m: int, block_len: int, power: float, noise_var: float,
@@ -152,16 +176,21 @@ def _rate_table(m: int, block_len: int, power: float, noise_var: float,
     (side 0) or Bob (side 1) for every slot pair one allocation can hold.
 
     Filled by the scalar :func:`pairwise_rate`, so a lookup returns the
-    very float :func:`key_rate` computes.  Index 0 is unused.
+    very float :func:`key_rate` computes.  Index 0 is unused.  The rate
+    is exactly symmetric in (t_i, t_alpha), whose product and sum are
+    exact integers, so only t_i <= t_alpha is computed and the rest is
+    mirrored.
     """
     longest = block_len - m - 1
     tab = np.zeros((m, 2, longest + 1, longest + 1))
     for i, sides in enumerate(channel_vars):
         for side, var in enumerate(sides):
             for t_i in range(1, longest + 1):
-                for t_alpha in range(1, longest + 1):
+                for t_alpha in range(t_i, longest + 1):
                     tab[i, side, t_i, t_alpha] = pairwise_rate(
                         t_i, t_alpha, power, noise_var, var)
+    below = np.tril_indices(longest + 1, -1)
+    tab[..., below[0], below[1]] = tab[..., below[1], below[0]]
     return tab
 
 
@@ -191,16 +220,21 @@ def optimize_allocation(m: int, block_len: int, power: float,
     coordinate ascent from near-uniform starts.  The method used is
     reported so heuristic results are clearly flagged.
 
-    The exhaustive search validates the inputs once, tabulates the
-    pairwise rate of every (relay, side, relay slot, terminal slot)
-    with the scalar :func:`pairwise_rate` (2*M*(T-M-1)^2 calls), then
-    streams the compositions in chunks of at most 1024 rows.  Each chunk
-    costs a few table lookups, one :func:`rates.capacity` call over the
-    (rows, M) minima and one argmax, so memory stays flat and every rate
-    is the float :func:`key_rate` would return.  Ties go to the first
-    composition in lexicographic order of the cut points.  On a 2-core
-    x86 machine M=4, T=30 (118,755 compositions) takes about 0.04 s,
-    T=40 (575,757) about 0.16 s and T=68 (9,657,648) 2 to 6 s.
+    The exhaustive search validates the inputs once and tabulates the
+    pairwise rate of every (relay, side, relay slot, terminal slot) with
+    the scalar :func:`pairwise_rate` (M*(T-M-1)*(T-M) calls, the rate
+    being symmetric in its two slot counts).  It builds the relay slot
+    counts of every relay budget R = T-2, ..., M once (C(T-2, M) columns
+    of narrow integers, descending R).  For Alice's slot count t_A, the
+    allocations (t_A, t_B, t_1..t_M) are, in lexicographic order, the
+    suffix with R <= T-t_A-1 and t_B = T-t_A-R; each suffix is scored in
+    chunks of at most 2048 rows with one flat table lookup per side, one
+    :func:`rates.capacity` call over the relay-major minima and one
+    argmax, so every rate is the float :func:`key_rate` would return.
+    Ties go to the first allocation in lexicographic order.  On a 2-core
+    x86 machine M=4, T=30 (118,755 allocations) takes about 6 ms,
+    T=40 (575,757) about 30 ms and T=68 (9,657,648) about 0.4 s, with
+    tracemalloc peaks of 0.4, 0.7 and 4 MiB.
     """
     parts = m + 2
     if block_len < parts:
@@ -214,18 +248,32 @@ def optimize_allocation(m: int, block_len: int, power: float,
                        channel_vars=channel_vars, block_len=block_len,
                        allocation=first)  # validates the inputs once
         tab = _rate_table(m, block_len, power, noise_var, channel_vars)
-        relays = np.arange(m)
+        rel, budget = _relay_compositions(m, block_len)
+        stride = tab.shape[-1]
+        # flat index of tab[i, 0, 0, 0] per relay; side 1 adds stride**2
+        base = (np.arange(m) * tab[0].size)[:, None]
+        flat = tab.ravel()
+        cols = rel.shape[1]
         best, best_rate = None, -1.0
-        for slots in _composition_chunks(block_len, parts):
-            t_relays = slots[:, 2:]
-            i_g = np.minimum(tab[relays, 0, t_relays, slots[:, :1]],
-                             tab[relays, 1, t_relays, slots[:, 1:2]])
-            r_key = rates.capacity(i_g) / block_len
-            j = int(np.argmax(r_key))
-            if r_key[j] > best_rate:
-                best, best_rate = slots[j], float(r_key[j])
-        return AllocationResult(tuple(int(t) for t in best), best_rate,
-                                "exhaustive")
+        for t_a in range(1, block_len - m):
+            # every (t_B, t_1..t_M) with this t_A: the budgets R <= T-t_A-1
+            for lo in range(cols - math.comb(block_len - t_a - 1, m), cols,
+                            _SCORE_CHUNK):
+                hi = min(lo + _SCORE_CHUNK, cols)
+                idx = np.multiply(rel[:, lo:hi], stride, dtype=np.intp)
+                idx += base + t_a
+                i_a = flat.take(idx)
+                # tab[i, 1, t_i, t_B] lies stride**2 + t_B - t_A further on
+                idx += np.subtract(block_len - 2 * t_a + stride * stride,
+                                   budget[lo:hi], dtype=np.intp)
+                i_g = np.minimum(i_a, flat.take(idx), out=i_a)
+                r_key = rates.capacity(i_g.T) / block_len
+                j = int(np.argmax(r_key))
+                if r_key[j] > best_rate:
+                    best_rate = float(r_key[j])
+                    best = (t_a, block_len - t_a - int(budget[lo + j]),
+                            *rel[:, lo + j].tolist())
+        return AllocationResult(best, best_rate, "exhaustive")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     best, best_rate = None, -1.0

@@ -204,6 +204,8 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg]) == 3
 
 
+HUGE = 10 ** 400
+
 BAD_CONFIGS = {
     "count_text": ("sweep", '{"sweep": {"kind": "tightness", '
                             '"count": "abc"}}'),
@@ -241,6 +243,24 @@ BAD_CONFIGS = {
                                        '"power_grid": [10.0], '
                                        '"optimize": true, "power": 10.0, '
                                        '"block_len": 8.9}}'),
+    # Integers past the float range (10^400) raise OverflowError.
+    "noise_var_huge": ("wireless", '{"wireless": {"m": 2, '
+                                   '"power_grid": [10.0], '
+                                   f'"noise_var": {HUGE}}}}}'),
+    "channel_var_huge": ("wireless", '{"wireless": {"m": 2, '
+                                     '"power_grid": [10.0], '
+                                     f'"channel_var": {HUGE}}}}}'),
+    "power_huge": ("wireless", '{"wireless": {"m": 2, "power_grid": [10.0], '
+                               f'"optimize": true, "power": {HUGE}}}}}'),
+    "power_grid_huge": ("wireless", '{"wireless": {"m": 2, '
+                                    f'"power_grid": [{HUGE}]}}}}'),
+    "channel_vars_huge": ("wireless", '{"wireless": {"m": 2, '
+                                      '"power_grid": [10.0], '
+                                      '"optimize": true, "power": 10.0, '
+                                      f'"channel_vars": [[{HUGE}, 1], '
+                                      '[1, 1]]}}'),
+    "pair_mis_huge": ("capacity", '{"capacity": {"pair_mis": '
+                                  f'[[{HUGE}, 1], [1, 1]]}}}}'),
 }
 
 

@@ -262,3 +262,28 @@ class TestEmpiricalMi:
     def test_rejects_short_samples(self):
         with pytest.raises(ValueError):
             empirical_mi([0, 1] * 100, [0, 1] * 100)
+
+    def test_rejects_no_bootstrap(self):
+        with pytest.raises(ValueError):
+            empirical_mi([0, 1] * 600, [0, 1] * 600, bootstrap=0)
+
+    def test_rowwise_mi_matches_plugin(self):
+        # Each row of joint counts, expanded back into samples, gives the
+        # per-sample Miller-Madow estimate up to summation order.
+        rng = np.random.Generator(np.random.PCG64(8))
+        k_x, k_y, n = 3, 5, 2000
+        joint = rng.multinomial(n, rng.dirichlet([0.3] * (k_x * k_y)),
+                                size=40)
+        got = infotools._plugin_mi_rows(joint, k_x, k_y)
+        for row, mi in zip(joint, got):
+            codes = np.repeat(np.arange(k_x * k_y), row)
+            assert mi == pytest.approx(
+                infotools._plugin_mi(codes, k_x, k_y), abs=1e-12)
+
+    def test_point_estimate_is_plugin_of_samples(self):
+        rng = np.random.Generator(np.random.PCG64(9))
+        x = rng.integers(0, 3, 5000)
+        y = (x + (rng.random(5000) < 0.2)) % 3
+        est = empirical_mi(x, y, bootstrap=50, seed=2)
+        assert est.mi_bits == infotools._plugin_mi(x * 3 + y, 3, 3)
+        assert est.ci_low <= est.mi_bits <= est.ci_high

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -133,16 +134,53 @@ class TestOptimizeAllocation:
         assert opt.r_key == pytest.approx(key_rate(uniform).r_key, abs=1e-12)
 
     def test_composition_count(self):
-        chunks = list(wireless._composition_chunks(10, 4, rows=25))
-        assert [len(c) for c in chunks] == [25, 25, 25, 9]
-        rows = [tuple(r) for c in chunks for r in c.tolist()]
-        assert len(rows) == 84
-        assert rows == list(_compositions(10, 4))
+        for m, block_len in [(2, 4), (2, 11), (3, 13), (4, 20), (5, 14),
+                             (2, 257), (2, 258)]:
+            rel, budget = wireless._relay_compositions(m, block_len)
+            assert rel.dtype == budget.dtype == (
+                np.uint8 if block_len <= 257 else np.uint16)
+            assert rel.shape == (m, math.comb(block_len - 2, m))
+            start = 0
+            for r in range(block_len - 2, m - 1, -1):
+                want = list(_compositions(r, m))
+                stop = start + len(want)
+                assert [tuple(c) for c in rel[:, start:stop].T.tolist()] \
+                    == want
+                assert (budget[start:stop] == r).all()
+                start = stop
+            assert start == rel.shape[1] == budget.size
 
-    @pytest.mark.parametrize("case", range(24))
+    def test_budgets_wider_than_one_byte(self):
+        # T=258 puts relay budgets up to 256 in two-byte slot counts.  The
+        # allocation is the one a cut-point enumeration of all 2,796,160
+        # compositions picks.
+        channel_vars = [(0.7, 1.3), (1.9, 0.6)]
+        got = optimize_allocation(2, 258, 5.0, 1.0, channel_vars)
+        assert got.allocation == (59, 68, 60, 71)
+        cfg = WirelessConfig(m=2, power=5.0, noise_var=1.0,
+                             channel_vars=channel_vars, block_len=258,
+                             allocation=got.allocation)
+        assert got.r_key == key_rate(cfg).r_key
+
+    def test_rate_table_mirror_equals_full_fill(self):
+        m, block_len, power, noise_var = 3, 17, 7.3, 0.6
+        channel_vars = ((0.3, 2.9), (1.7, 0.45), (3.1, 1.1))
+        tab = wireless._rate_table(m, block_len, power, noise_var,
+                                   channel_vars)
+        longest = block_len - m - 1
+        full = np.zeros_like(tab)
+        for i, sides in enumerate(channel_vars):
+            for side, var in enumerate(sides):
+                for t_i in range(1, longest + 1):
+                    for t_alpha in range(1, longest + 1):
+                        full[i, side, t_i, t_alpha] = pairwise_rate(
+                            t_i, t_alpha, power, noise_var, var)
+        assert (tab == full).all()
+
+    @pytest.mark.parametrize("case", range(30))
     def test_matches_reference_search(self, case):
         rng = np.random.Generator(np.random.PCG64(1000 + case))
-        m = int(rng.integers(2, 5))
+        m = 5 if case >= 24 else int(rng.integers(2, 5))
         block_len = int(rng.integers(m + 2, 17))
         power = float(10.0 ** rng.uniform(-9, 9)) if case % 3 == 0 \
             else float(rng.uniform(0.2, 20.0))
@@ -172,20 +210,34 @@ class TestOptimizeAllocation:
             (want.allocation, want.r_key, want.method)
 
     def test_search_spans_several_chunks(self):
-        # M=4, T=20: 27,132 compositions, 27 chunks of up to 1024 rows.
+        # M=4, T=20: 27,132 allocations in 15 Alice-slot blocks; the
+        # first block (3,060 rows) takes two chunks of up to 2048 rows.
         channel_vars = [(0.6, 1.8), (1.1, 0.9), (2.0, 0.7), (0.8, 0.8)]
         got = optimize_allocation(4, 20, 3.0, 1.0, channel_vars)
         want = _exhaustive_oracle(4, 20, 3.0, 1.0, channel_vars)
         assert (got.allocation, got.r_key) == (want.allocation, want.r_key)
 
     def test_ties_across_chunks_keep_first(self, monkeypatch):
-        chunks = wireless._composition_chunks
-        monkeypatch.setattr(wireless, "_composition_chunks",
-                            lambda total, parts: chunks(total, parts, rows=7))
-        channel_vars = [(0.9, 0.9)] * 3
-        got = optimize_allocation(3, 13, 2.0, 1.0, channel_vars)
-        want = _exhaustive_oracle(3, 13, 2.0, 1.0, channel_vars)
-        assert (got.allocation, got.r_key) == (want.allocation, want.r_key)
+        # All-equal variances tie many allocations, across Alice-slot
+        # blocks and across chunks of 7 rows.
+        monkeypatch.setattr(wireless, "_SCORE_CHUNK", 7)
+        for m, block_len in [(3, 13), (4, 12), (2, 15)]:
+            channel_vars = [(0.9, 0.9)] * m
+            got = optimize_allocation(m, block_len, 2.0, 1.0, channel_vars)
+            want = _exhaustive_oracle(m, block_len, 2.0, 1.0, channel_vars)
+            assert (got.allocation, got.r_key) == \
+                (want.allocation, want.r_key)
+
+    @pytest.mark.parametrize("block_len, limit_mib", [(30, 1.5), (50, 6.0)])
+    def test_working_memory(self, block_len, limit_mib):
+        channel_vars = [(0.6, 1.8), (1.1, 0.9), (2.0, 0.7), (0.8, 0.8)]
+        tracemalloc.start()
+        try:
+            optimize_allocation(4, block_len, 10.0, 1.0, channel_vars)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * (1 << 20)
 
     @pytest.mark.parametrize("power, noise_var, channel_vars", [
         (0.0, 1.0, [(1, 1), (1, 1)]),
