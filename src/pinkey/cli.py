@@ -146,9 +146,14 @@ def _leakage_task(args) -> float:
 
 
 def _map(jobs: int, func, tasks: list) -> list:
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            return pool.map(func, tasks)
+    """``[func(t) for t in tasks]``, over a pool of at most ``jobs``
+    workers and never more workers than tasks.  Tasks are handed out one
+    at a time, so a caller that lists its longest tasks first leaves no
+    worker idle on a long tail."""
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with Pool(workers) as pool:
+            return pool.map(func, tasks, chunksize=1)
     return [func(t) for t in tasks]
 
 
@@ -203,6 +208,9 @@ def run_protocol(config: dict, seed: int, out: Optional[str]) -> None:
     rates_seen: List[List[float]] = []
     first_digest = None
     key_bits = None
+    # Trials whose common messages were cut to fit the codebook, with
+    # the message bits they kept and had.
+    cut_trials = cut_kept = cut_full = 0
     for t in range(trials):
         try:
             result = pipeline.run_once(instance, sample_seed=seed + t,
@@ -214,10 +222,18 @@ def run_protocol(config: dict, seed: int, out: Optional[str]) -> None:
             first_digest = result.transcript.digest()
             key_bits = result.key_bits
         mismatches += int(not result.agreed)
+        if result.truncated:
+            cut_trials += 1
+            cut_kept += sum(result.message_bits)
+            cut_full += sum(w.size for w in result.keys.common)
         rates_seen.append(result.keys.rates)
         if result.leakage is not None:
             leakage_max.append(max(a.mi_bits for a in result.leakage))
     completed = trials - failures
+    if cut_trials:
+        print(f"note: {cut_trials} of {completed} completed trials cut "
+              f"their common messages to fit the codebook budget, "
+              f"keeping {cut_kept} of {cut_full} bits", file=sys.stderr)
     results = {
         "trials": trials,
         "completed": completed,
@@ -303,16 +319,28 @@ def run_sweep(config: dict, seed: int, out: Optional[str],
                                 "sweep.codebooks")
         if m < 2 or codebooks < 1 or not budgets or min(budgets) < 0:
             raise ConfigError("invalid leakage sweep parameters")
-        table = []
-        for b in budgets:
-            key_bits = pipeline.key_bits_for([b] * m, -(-b // 4))
-            tasks = [([b] * m, key_bits, seed + 100_000 * b + c)
-                     for c in range(codebooks)]
-            maxima = _map(jobs, _leakage_task, tasks)
-            table.append({"bits_per_message": b, "key_bits": key_bits,
-                          "mean_max_leakage_bits": float(np.mean(maxima)),
-                          "per_key_bit": float(np.mean(maxima)) / key_bits
-                          if key_bits else None})
+        if m * max(budgets) > distillation.ENUM_BUDGET_BITS:
+            raise BudgetExceeded(
+                f"leakage sweep needs 2^{m * max(budgets)} codewords per "
+                f"codebook, over the 2^{distillation.ENUM_BUDGET_BITS} "
+                f"budget")
+        key_bits = [pipeline.key_bits_for([b] * m, -(-b // 4))
+                    for b in budgets]
+        # One pool for the whole sweep, widest codebooks first; the
+        # maxima come back in task order and are regrouped by budget.
+        widest_first = sorted(range(len(budgets)), key=lambda i: -budgets[i])
+        tasks = [([budgets[i]] * m, key_bits[i],
+                  seed + 100_000 * budgets[i] + c)
+                 for i in widest_first for c in range(codebooks)]
+        maxima = _map(jobs, _leakage_task, tasks)
+        means = [0.0] * len(budgets)
+        for rank, i in enumerate(widest_first):
+            means[i] = float(np.mean(
+                maxima[rank * codebooks:(rank + 1) * codebooks]))
+        table = [{"bits_per_message": b, "key_bits": k,
+                  "mean_max_leakage_bits": mean,
+                  "per_key_bit": mean / k if k else None}
+                 for b, k, mean in zip(budgets, key_bits, means)]
         results = {"kind": kind, "m": m, "codebooks": codebooks,
                    "table": table}
     else:

@@ -12,6 +12,7 @@ capped at 2^24 codewords.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .bitops import as_bits
 from .errors import BudgetExceeded
 
-_ENUM_BUDGET_BITS = 24
+ENUM_BUDGET_BITS = 24
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,9 @@ class RbCodebook:
     an array filled with -1 must hit every slot.  That many in-range
     values hitting every slot are a permutation, by pigeonhole; anything
     else raises ``ValueError``.
+
+    ``key_of_all`` (the bin index of every codeword) is built on first
+    use, so codebooks that are never audited never pay for it.
     """
 
     def __init__(self, message_bits: Sequence[int], key_bits: int,
@@ -73,6 +77,17 @@ class RbCodebook:
     @property
     def bin_size(self) -> int:
         return 1 << self.bin_bits
+
+    @cached_property
+    def key_of_all(self) -> np.ndarray:
+        """Read-only bin index ``position >> bin_bits`` of every codeword
+        in flat order, in the narrowest unsigned dtype that holds a key."""
+        key = np.empty(self.position.size,
+                       dtype=np.min_scalar_type(self.num_bins - 1))
+        np.right_shift(self.position, self.bin_bits, out=key,
+                       casting="unsafe")
+        key.flags.writeable = False
+        return key
 
     def flat_index(self, messages: Sequence[int]) -> int:
         """Row-major flat index of one message tuple."""
@@ -113,9 +128,9 @@ def build_codebook(rates_bits: Sequence[int], key_bits: int,
     if key_bits > total_bits:
         raise ValueError(f"key_bits={key_bits} exceeds the "
                          f"{total_bits}-bit message space")
-    if total_bits > _ENUM_BUDGET_BITS:
+    if total_bits > ENUM_BUDGET_BITS:
         raise BudgetExceeded(f"message space of 2^{total_bits} codewords "
-                             f"exceeds the 2^{_ENUM_BUDGET_BITS} budget")
+                             f"exceeds the 2^{ENUM_BUDGET_BITS} budget")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     position = rng.permutation(1 << total_bits).astype(np.int64, copy=False)
     return RbCodebook(rates_bits, key_bits, position, seed=seed)

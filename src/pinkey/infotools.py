@@ -26,6 +26,7 @@ from .errors import BudgetExceeded, InvariantViolation
 _TABLE_BUDGET = 1 << 24
 _NEG_CLAMP = 1e-9
 _BOOTSTRAP_CELLS = 1 << 18  # joint counts drawn per bootstrap chunk
+_AUDIT_BLOCK = 1 << 15  # codewords counted per block of the leakage audit
 
 
 def entropy_bits(probs: np.ndarray) -> float:
@@ -115,9 +116,33 @@ class LeakageAudit:
 
 
 def codebook_key_of_all(codebook: RbCodebook) -> np.ndarray:
-    """Bin index of every message tuple, in flat (row-major) order, as a
-    fresh array."""
-    return codebook.position >> codebook.bin_bits
+    """Bin index of every message tuple, in flat (row-major) order: the
+    codebook's cached, read-only ``key_of_all``."""
+    return codebook.key_of_all
+
+
+def _wm_major_counts(key: np.ndarray, pre: int, n_wm: int, post: int,
+                     key_bits: int) -> np.ndarray:
+    """(W_m, K) joint counts of the codewords whose flat keys ``key``
+    view as (pre, n_wm, post), with W_m the middle axis.
+
+    A few W_m rows at a time, about ``_AUDIT_BLOCK`` codewords, get the
+    codes ``(w_m << key_bits) | k`` (w_m relative to the block) in one
+    reused buffer, and their bincount fills exactly that block's rows of
+    the table, so the counting stays in cache.  A W_m row wider than the
+    block is counted whole.  All sizes are powers of two, so the blocks
+    tile the rows exactly.
+    """
+    rows = max(1, min(n_wm, _AUDIT_BLOCK // (pre * post)))
+    offsets = (np.arange(rows, dtype=np.intp) << key_bits)[:, None]
+    by_wm = key.reshape(pre, n_wm, post)
+    codes = np.empty((pre, rows, post), dtype=np.intp)
+    table = np.empty((n_wm, 1 << key_bits), dtype=np.int64)
+    for lo in range(0, n_wm, rows):
+        np.bitwise_or(by_wm[:, lo:lo + rows], offsets, out=codes)
+        table[lo:lo + rows] = np.bincount(
+            codes.ravel(), minlength=rows << key_bits).reshape(rows, -1)
+    return table
 
 
 def leakage_audit(codebook: RbCodebook, relay: int) -> LeakageAudit:
@@ -127,27 +152,22 @@ def leakage_audit(codebook: RbCodebook, relay: int) -> LeakageAudit:
     exact in ideal-common mode; noisy-pair instances must use
     :func:`empirical_mi` instead.
 
-    The joint (K, W_m) counts come from one ``np.bincount`` over the
-    codes ``(k << b_m) | w_m`` of all codewords, one linear pass per relay.
+    The joint (K, W_m) counts come from the codebook's cached key array,
+    counted in W_m-major blocks (:func:`_wm_major_counts`) and transposed
+    once into a C-contiguous (K, W_m) table.
     """
     if not 0 <= relay < len(codebook.message_bits):
         raise ValueError(f"relay index out of range: {relay}")
     total = 1 << codebook.total_bits
     b_m = codebook.message_bits[relay]
     shift = sum(codebook.message_bits[relay + 1:])
-    code = codebook_key_of_all(codebook)
-    code <<= b_m
-    # In row-major flat order W_m is the middle axis of this view, so the
-    # codes are built in place in the fresh key array.
-    by_wm = code.reshape(-1, 1 << b_m, 1 << shift)
-    by_wm |= np.arange(1 << b_m)[:, None]
-    counts = np.bincount(code, minlength=codebook.num_bins << b_m).reshape(
-        codebook.num_bins, 1 << b_m)
-    # Nothing reads the codes after the count; free them before the
-    # entropy tables are allocated.
-    del code, by_wm
+    counts = np.ascontiguousarray(_wm_major_counts(
+        codebook_key_of_all(codebook), total >> (b_m + shift), 1 << b_m,
+        1 << shift, codebook.key_bits).T)
     pmf = JointPmf(counts / total)
     mi = exact_mi(pmf, (0,), (1,))
+    # Nothing reads the pmf again; free it before the last entropy term.
+    del pmf
 
     h_wm = float(b_m)
     h_all_given_key = float(codebook.bin_bits)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pinkey import cli
 from pinkey.cli import main
 
 
@@ -107,6 +108,31 @@ class TestProtocolCommand:
         if res["mean_achieved_rates"]:
             assert all(0.0 <= r < 1.0 for r in res["mean_achieved_rates"])
 
+    def test_ideal_fixture_writes_no_note(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"seed": 3, "protocol": IDEAL_PROTOCOL})
+        out = tmp_path / "out.json"
+        assert main(["protocol", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_noisy_fixture_notes_cut_messages(self, tmp_path, capsys):
+        # n=70 DSBS pairs agree on about 30 bits each, over the 20-bit
+        # codebook budget, so every completed trial is cut.
+        block = {"m": 2,
+                 "pairs": [{"mode": "dsbs", "crossover_a": 0.02,
+                            "crossover_b": 0.02}] * 2,
+                 "n": 70, "trials": 5}
+        cfg = write_config(tmp_path, {"seed": 5, "protocol": block})
+        out = tmp_path / "out.json"
+        assert main(["protocol", "--config", cfg, "--out", str(out)]) == 0
+        completed = json.loads(out.read_text())["results"]["completed"]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"note: {completed} of {completed} completed "
+                              f"trials cut their common messages")
+        kept, full = (int(w) for w in err.split("keeping ")[1]
+                      .split(" bits")[0].split(" of "))
+        assert 0 < kept <= 20 * completed < full
+
     def test_single_relay_rejected(self, tmp_path):
         block = dict(IDEAL_PROTOCOL, m=1, pairs=IDEAL_PROTOCOL["pairs"][:1])
         cfg = write_config(tmp_path, {"protocol": block})
@@ -191,6 +217,64 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(out2),
                      "--jobs", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_leakage_sweep_ignores_jobs(self, tmp_path):
+        budgets = [6, 2, 4]
+        cfg = write_config(tmp_path,
+                           {"seed": 2, "sweep": {"kind": "leakage", "m": 2,
+                                                 "bits_per_message": budgets,
+                                                 "codebooks": 4}})
+        outputs = []
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"jobs{jobs}.json"
+            assert main(["sweep", "--config", cfg, "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        table = json.loads(outputs[0])["results"]["table"]
+        assert [row["bits_per_message"] for row in table] == budgets
+
+    @pytest.mark.parametrize("jobs,codebooks,workers", [
+        (64, 3, 3), (2, 5, 2), (8, 1, None)])
+    def test_pool_never_outnumbers_tasks(self, tmp_path, monkeypatch,
+                                         jobs, codebooks, workers):
+        # A stand-in Pool records its size and maps in-process, so no
+        # worker is ever started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, tasks, chunksize=None):
+                return [func(t) for t in tasks]
+
+        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        cfg = write_config(tmp_path,
+                           {"sweep": {"kind": "leakage", "m": 2,
+                                      "bits_per_message": [2],
+                                      "codebooks": codebooks}})
+        assert main(["sweep", "--config", cfg, "--jobs", str(jobs)]) == 0
+        assert sizes == ([] if workers is None else [workers])
+
+    def test_over_budget_sweep_fails_before_any_work(self, tmp_path,
+                                                     monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started on an over-budget sweep")
+
+        monkeypatch.setattr(cli, "Pool", forbidden)
+        monkeypatch.setattr(cli.distillation, "build_codebook", forbidden)
+        cfg = write_config(tmp_path,
+                           {"sweep": {"kind": "leakage", "m": 2,
+                                      "bits_per_message": [2, 30],
+                                      "codebooks": 100}})
+        assert main(["sweep", "--config", cfg, "--jobs", "2"]) == 3
 
     def test_bad_kind_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"sweep": {"kind": "nonsense"}})

@@ -217,6 +217,20 @@ class TestLeakageAuditOracle:
         for m in (0, 3):
             assert infotools.leakage_audit(cb, m) == _leakage_oracle(cb, m)
 
+    def test_equals_oracle_on_wide_and_skewed_codebooks(self, monkeypatch):
+        # Every relay, a zero-width one included, at the audit's own block
+        # size and at 2^9 codewords, where most blocks hold a single W_m
+        # row wider than the block and [19, 1] packs 256 rows per block.
+        blocks = (infotools._AUDIT_BLOCK, 1 << 9)
+        for widths, key_bits in (([10, 10], 7), ([5, 5, 5, 5], 13),
+                                 ([1, 19], 1), ([19, 1], 4), ([0, 20], 4)):
+            cb = build_codebook(widths, key_bits, seed=sum(widths) + key_bits)
+            for m in range(len(widths)):
+                expected = _leakage_oracle(cb, m)
+                for block in blocks:
+                    monkeypatch.setattr(infotools, "_AUDIT_BLOCK", block)
+                    assert infotools.leakage_audit(cb, m) == expected
+
     def test_memory_of_one_large_audit(self):
         # One int64 code per codeword, freed before the entropy tables;
         # the oracle's index arrays alone need three times that.
