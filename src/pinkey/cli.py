@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from multiprocessing import Pool
 from typing import List, Optional, Sequence
@@ -25,43 +24,91 @@ from .errors import (BudgetExceeded, ConfigError, InvariantViolation,
                      ReconciliationFailure)
 from .model import PairSource, PinInstance, ProtocolParams
 
-_SECTIONS = {"seed", "capacity", "protocol", "wireless", "sweep"}
+_REQUIRED = object()
+
+# Every key of every config block, once, as (type, default).  A type is
+# int, float, bool, str or dict (a section, read by its own command), a
+# one-element list for a list of that type, or the name of another block.
+# A default is _REQUIRED, None for a part the command then skips, or a
+# function of the values read before it.  A sweep section is read against
+# the block named by its kind.
+_TIGHTNESS = {"count": (int, 1000), "m_min": (int, 2), "m_max": (int, 6),
+              "i_max": (float, 4.0)}
+_BLOCKS = {
+    "root": {"seed": (int, 0), "capacity": (dict, None),
+             "protocol": (dict, None), "wireless": (dict, None),
+             "sweep": (dict, None)},
+    "capacity": {"pair_mis": ([[float]], None),
+                 "random_sweep": ("random_sweep", None)},
+    "random_sweep": _TIGHTNESS,
+    "protocol": {"m": (int, _REQUIRED), "pairs": (["pair"], _REQUIRED),
+                 "n": (int, 1), "epsilon_bits": (int, 1), "trials": (int, 1)},
+    "pair": {"mode": (str, _REQUIRED), "bits_a": (int, 0), "bits_b": (int, 0),
+             "crossover_a": (float, 0.0), "crossover_b": (float, 0.0)},
+    "wireless": {"m": (int, _REQUIRED), "power_grid": ([float], _REQUIRED),
+                 "slot": (int, 2), "noise_var": (float, 1.0),
+                 "channel_var": (float, 1.0), "optimize": (bool, False),
+                 "block_len": (int, lambda w: w["slot"] * (w["m"] + 2)),
+                 "power": (float, 1.0),
+                 "channel_vars": ([[float]],
+                                  lambda w: [[w["channel_var"]] * 2] * w["m"])},
+    "tightness": {"kind": (str, _REQUIRED), **_TIGHTNESS},
+    "leakage": {"kind": (str, _REQUIRED), "m": (int, 2),
+                "bits_per_message": ([int], [2, 4, 6, 8]),
+                "codebooks": (int, 100)},
+}
+
+_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+          str: "a string", dict: "a JSON object"}
 
 
-def _check_keys(block: dict, allowed: set, where: str) -> None:
+def _read(block, name: str, where: str) -> dict:
+    """The values of config block ``block`` typed by ``_BLOCKS[name]``,
+    defaults filled in; ``where`` names the block in errors."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(block) - allowed
+    table = _BLOCKS[name]
+    unknown = set(block) - set(table)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    values = {}
+    for key, (kind, default) in table.items():
+        if key in block:
+            values[key] = _value(block[key], kind,
+                                 key if name == "root" else f"{where}.{key}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"{where} lacks '{key}'")
+        else:
+            values[key] = default(values) if callable(default) else default
+    return values
+
+
+def _value(value, kind, where: str):
+    if isinstance(kind, str):
+        return _read(value, kind, where)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return [_value(v, kind[0], f"{where}[{i}]")
+                for i, v in enumerate(value)]
+    # bool is an int subclass, but JSON true is not a number.
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{where} must be {_NAMES[kind]}, got {value!r}")
+    if kind is not float:
+        return value
+    # json reads 1e400 as inf, and the integer 10**400 has no float.
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number")
+    return float(value)
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(config, _SECTIONS, "config root")
-    return config
-
-
-def _config_int(value, what: str) -> int:
-    """``value`` itself if it is a JSON integer; a fraction, a string or
-    a boolean is a config error, never truncated or coerced."""
-    # bool is an int subclass, but JSON true is not a number.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _check_seed(seed) -> int:
-    if _config_int(seed, "seed") < 0:
-        raise ConfigError(f"seed must be a non-negative integer, "
-                          f"got {seed!r}")
-    return seed
 
 
 def _config_digest(config: dict) -> str:
@@ -70,26 +117,17 @@ def _config_digest(config: dict) -> str:
 
 
 def _section(config: dict, name: str) -> dict:
-    if name not in config:
+    """The typed ``name`` section of a config whose root was read."""
+    block = config.get(name)
+    if block is None:
         raise ConfigError(f"config lacks a '{name}' section")
-    block = config[name]
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{name}' section must be a JSON object")
-    return block
-
-
-def _parse_pairs(raw) -> List[PairSource]:
-    if not isinstance(raw, list):
-        raise ConfigError("'pairs' must be a list")
-    pairs = []
-    for i, entry in enumerate(raw):
-        _check_keys(entry, {"mode", "bits_a", "bits_b", "crossover_a",
-                            "crossover_b"}, f"pairs[{i}]")
-        try:
-            pairs.append(PairSource(**entry))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"pairs[{i}]: {exc}") from exc
-    return pairs
+    table = name
+    if name == "sweep":
+        table = block.get("kind")
+        if table not in ("tightness", "leakage"):
+            raise ConfigError(f"sweep.kind must be 'tightness' or "
+                              f"'leakage', got {table!r}")
+    return _read(block, table, name)
 
 
 def _write(out: Optional[str], text: str) -> None:
@@ -115,15 +153,8 @@ def _tightness_sweep(block: dict, seed: int, where: str) -> dict:
     which changes neither rate, and both rates are evaluated once over
     the whole (count, m_max, 2) array.
     """
-    count = _config_int(block.get("count", 1000), f"{where}.count")
-    m_min = _config_int(block.get("m_min", 2), f"{where}.m_min")
-    m_max = _config_int(block.get("m_max", 6), f"{where}.m_max")
-    try:
-        i_max = float(block.get("i_max", 4.0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    if (m_min < 2 or m_max < m_min or count < 1
-            or not 0.0 < i_max < math.inf):
+    count, m_min, m_max, i_max = (block[key] for key in _TIGHTNESS)
+    if m_min < 2 or m_max < m_min or count < 1 or i_max <= 0.0:
         raise ConfigError(f"invalid {where} bounds")
     pair_mis = np.zeros((count, m_max, 2))
     for t in range(count):
@@ -159,20 +190,16 @@ def _map(jobs: int, func, tasks: list) -> list:
 
 def run_capacity(config: dict, seed: int, out: Optional[str]) -> None:
     block = _section(config, "capacity")
-    _check_keys(block, {"pair_mis", "random_sweep"}, "capacity")
     results: dict = {}
-    if "pair_mis" in block:
+    if block["pair_mis"] is not None:
         try:
             report = rates.rate_report(block["pair_mis"])
-        except (TypeError, ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"capacity.pair_mis: {exc}") from exc
         results["report"] = report.to_dict()
         results["tightness_gap"] = abs(report.capacity - report.converse)
-    if "random_sweep" in block:
-        sweep = block["random_sweep"]
-        _check_keys(sweep, {"count", "m_min", "m_max", "i_max"},
-                    "capacity.random_sweep")
-        results["random_sweep"] = _tightness_sweep(sweep, seed,
+    if block["random_sweep"] is not None:
+        results["random_sweep"] = _tightness_sweep(block["random_sweep"], seed,
                                                    "capacity.random_sweep")
     if not results:
         raise ConfigError("capacity section needs 'pair_mis' or "
@@ -182,23 +209,14 @@ def run_capacity(config: dict, seed: int, out: Optional[str]) -> None:
 
 def run_protocol(config: dict, seed: int, out: Optional[str]) -> None:
     block = _section(config, "protocol")
-    _check_keys(block, {"m", "pairs", "n", "epsilon_bits", "trials"},
-                "protocol")
     try:
         instance = PinInstance(
-            m=_config_int(block["m"], "protocol.m"),
-            pairs=_parse_pairs(block["pairs"]),
-            params=ProtocolParams(
-                n=_config_int(block.get("n", 1), "protocol.n"),
-                epsilon_bits=_config_int(block.get("epsilon_bits", 1),
-                                         "protocol.epsilon_bits"),
-                seed=seed),
-        )
-        trials = _config_int(block.get("trials", 1), "protocol.trials")
-    except KeyError as exc:
-        raise ConfigError(f"protocol section missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+            m=block["m"], pairs=[PairSource(**p) for p in block["pairs"]],
+            params=ProtocolParams(n=block["n"],
+                                  epsilon_bits=block["epsilon_bits"]))
+    except ValueError as exc:
         raise ConfigError(f"protocol section: {exc}") from exc
+    trials = block["trials"]
     if trials < 1:
         raise ConfigError("trials must be >= 1")
 
@@ -252,31 +270,16 @@ def run_protocol(config: dict, seed: int, out: Optional[str]) -> None:
 def run_wireless(config: dict, seed: int, out: Optional[str],
                  fmt: str) -> None:
     block = _section(config, "wireless")
-    _check_keys(block, {"m", "block_len", "power_grid", "slot", "noise_var",
-                        "channel_var", "optimize", "power", "channel_vars"},
-                "wireless")
-    if "m" not in block:
-        raise ConfigError("wireless section missing 'm'")
-    p_grid = block.get("power_grid", [])
-    if not isinstance(p_grid, list) or not p_grid:
-        raise ConfigError("wireless.power_grid must be a nonempty list")
     opt = None
     try:
-        m = _config_int(block["m"], "wireless.m")
-        slot = _config_int(block.get("slot", 2), "wireless.slot")
-        noise_var = float(block.get("noise_var", 1.0))
-        channel_var = float(block.get("channel_var", 1.0))
-        rows = wireless.multiplexing_gain_sweep(m, p_grid, slot=slot,
-                                                noise_var=noise_var,
-                                                channel_var=channel_var)
-        if block.get("optimize", False):
+        rows = wireless.multiplexing_gain_sweep(
+            block["m"], block["power_grid"], slot=block["slot"],
+            noise_var=block["noise_var"], channel_var=block["channel_var"])
+        if block["optimize"]:
             opt = wireless.optimize_allocation(
-                m, _config_int(block.get("block_len", slot * (m + 2)),
-                               "wireless.block_len"),
-                float(block.get("power", 1.0)), noise_var,
-                block.get("channel_vars", [[channel_var, channel_var]] * m),
-                seed=seed)
-    except (TypeError, ValueError, OverflowError) as exc:
+                block["m"], block["block_len"], block["power"],
+                block["noise_var"], block["channel_vars"], seed=seed)
+    except ValueError as exc:
         raise ConfigError(f"wireless section: {exc}") from exc
 
     digest = _config_digest(config)
@@ -302,21 +305,12 @@ def run_wireless(config: dict, seed: int, out: Optional[str],
 def run_sweep(config: dict, seed: int, out: Optional[str],
               jobs: int) -> None:
     block = _section(config, "sweep")
-    _check_keys(block, {"kind", "count", "m_min", "m_max", "i_max", "m",
-                        "bits_per_message", "epsilon_den", "codebooks"},
-                "sweep")
-    kind = block.get("kind")
+    kind = block["kind"]
     if kind == "tightness":
         results = {"kind": kind, **_tightness_sweep(block, seed, "sweep")}
-    elif kind == "leakage":
-        m = _config_int(block.get("m", 2), "sweep.m")
-        budgets = block.get("bits_per_message", [2, 4, 6, 8])
-        if not isinstance(budgets, list):
-            raise ConfigError("sweep.bits_per_message must be a list")
-        budgets = [_config_int(b, "sweep.bits_per_message[]")
-                   for b in budgets]
-        codebooks = _config_int(block.get("codebooks", 100),
-                                "sweep.codebooks")
+    else:
+        m, budgets, codebooks = (block["m"], block["bits_per_message"],
+                                 block["codebooks"])
         if m < 2 or codebooks < 1 or not budgets or min(budgets) < 0:
             raise ConfigError("invalid leakage sweep parameters")
         if m * max(budgets) > distillation.ENUM_BUDGET_BITS:
@@ -343,9 +337,6 @@ def run_sweep(config: dict, seed: int, out: Optional[str],
                  for b, k, mean in zip(budgets, key_bits, means)]
         results = {"kind": kind, "m": m, "codebooks": codebooks,
                    "table": table}
-    else:
-        raise ConfigError(f"sweep.kind must be 'tightness' or 'leakage', "
-                          f"got {kind!r}")
     _emit_json(out, _config_digest(config), seed, results)
 
 
@@ -372,8 +363,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        seed = _check_seed(args.seed if args.seed is not None
-                           else config.get("seed", 0))
+        seed = _read(config, "root", "config root")["seed"]
+        if args.seed is not None:
+            seed = args.seed
+        if seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, "
+                              f"got {seed!r}")
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         if args.command == "capacity":

@@ -53,6 +53,11 @@ class PairSource:
     def __post_init__(self):
         if self.mode not in (MODE_IDEAL, MODE_DSBS):
             raise ValueError(f"unknown pair mode: {self.mode!r}")
+        other = ((self.crossover_a, self.crossover_b)
+                 if self.mode == MODE_IDEAL else (self.bits_a, self.bits_b))
+        if any(other):
+            raise ValueError(f"{self.mode} pair sets a field of the other "
+                             f"mode: {other}")
         if self.mode == MODE_IDEAL:
             for bits in (self.bits_a, self.bits_b):
                 # bool is Integral, but true is not a bit count.
@@ -86,7 +91,7 @@ class PairSource:
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Blocklength, rate slack and seed for one protocol run.
+    """Blocklength and rate slack for one protocol run.
 
     The rate slack materializes as a whole number of withheld key bits
     (``epsilon_bits``) so the equal-size bin partition stays exact.
@@ -94,7 +99,6 @@ class ProtocolParams:
 
     n: int
     epsilon_bits: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -153,14 +157,12 @@ def _sample_side(pair: PairSource, n: int, rng: np.random.Generator,
     return relay_seq ^ flips, relay_seq
 
 
-def sample(instance: PinInstance, seed: int | None = None) -> SourceRealization:
+def sample(instance: PinInstance, seed: int) -> SourceRealization:
     """Sample n i.i.d. repetitions at Alice, Bob and every relay.
 
     Deterministic in (instance, seed); each (pair, side) draws from its own
     substream.
     """
-    if seed is None:
-        seed = instance.params.seed
     n = instance.params.n
     x_a, x_b, x_relays = [], [], []
     for i, pair in enumerate(instance.pairs):

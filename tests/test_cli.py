@@ -1,9 +1,14 @@
 import json
+import os
 
 import pytest
 
 from pinkey import cli
 from pinkey.cli import main
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
 
 
 def write_config(tmp_path, config, name="config.json"):
@@ -345,6 +350,43 @@ BAD_CONFIGS = {
                                       '[1, 1]]}}'),
     "pair_mis_huge": ("capacity", '{"capacity": {"pair_mis": '
                                   f'[[{HUGE}, 1], [1, 1]]}}}}'),
+    # json reads a float literal past the float range as inf.
+    "pair_mis_float_overflow": ("capacity", '{"capacity": {"pair_mis": '
+                                            '[[1e400, 1], [1, 1]]}}'),
+    # Each of these ran with the value ignored or coerced before every
+    # key was read against one typed table.
+    "optimize_text": ("wireless", '{"wireless": {"m": 2, '
+                                  '"power_grid": [10.0], "optimize": "no"}}'),
+    "leakage_epsilon_den": ("sweep", '{"sweep": {"kind": "leakage", '
+                                     '"bits_per_message": [2], '
+                                     '"codebooks": 1, "epsilon_den": 99}}'),
+    "leakage_count": ("sweep", '{"sweep": {"kind": "leakage", '
+                               '"bits_per_message": [2], "codebooks": 1, '
+                               '"count": 7}}'),
+    "tightness_budgets": ("sweep", '{"sweep": {"kind": "tightness", '
+                                   '"count": 2, "bits_per_message": [99]}}'),
+    "dsbs_bits": ("protocol", json.dumps({"protocol": dict(
+        IDEAL_PROTOCOL, n=70, trials=1,
+        pairs=[{"mode": "dsbs", "crossover_a": 0.02, "crossover_b": 0.02,
+                "bits_a": 9}] * 2)})),
+    "ideal_crossover": ("protocol", json.dumps({"protocol": dict(
+        IDEAL_PROTOCOL, pairs=[{"mode": "ideal_common", "bits_a": 2,
+                                "bits_b": 1, "crossover_a": 0.4}] * 2)})),
+    "noise_var_text": ("wireless", '{"wireless": {"m": 2, '
+                                   '"power_grid": [10.0], '
+                                   '"noise_var": "2.0"}}'),
+    "power_grid_text": ("wireless", '{"wireless": {"m": 2, '
+                                    '"power_grid": ["10", "100"]}}'),
+    "power_boolean": ("wireless", '{"wireless": {"m": 2, '
+                                  '"power_grid": [10.0], "optimize": true, '
+                                  '"power": true}}'),
+    "i_max_text": ("capacity", '{"capacity": {"random_sweep": '
+                               '{"count": 2, "i_max": "1e3"}}}'),
+    "pair_mis_boolean": ("capacity", '{"capacity": {"pair_mis": '
+                                     '[[1, true], [1, 1]]}}'),
+    "seed_text_overridden": ("capacity --seed 4",
+                             '{"seed": "abc", "capacity": '
+                             '{"pair_mis": [[1, 1], [1, 1]]}}'),
 }
 
 
@@ -353,7 +395,7 @@ BAD_CONFIGS = {
 def test_bad_config_values_exit_2(tmp_path, capsys, command, text):
     path = tmp_path / "config.json"
     path.write_text(text)
-    assert main([command, "--config", str(path)]) == 2
+    assert main([*command.split(), "--config", str(path)]) == 2
     assert "config error" in capsys.readouterr().err
 
 
@@ -364,6 +406,7 @@ BAD_SEEDS = {
     "boolean": ({"seed": True}, []),
     "null": ({"seed": None}, []),
     "negative_flag": ({"seed": 3}, ["--seed", "-3"]),
+    "text_under_flag": ({"seed": "abc"}, ["--seed", "4"]),
 }
 
 
@@ -378,6 +421,20 @@ def test_bad_seed_exit_2(tmp_path, capsys, command, section, seed_config,
     cfg = write_config(tmp_path, {**seed_config, command: section})
     assert main([command, "--config", cfg, *flags]) == 2
     assert "config error: seed must be" in capsys.readouterr().err
+
+
+def _readme_config():
+    with open(README) as fh:
+        text = fh.read()
+    return json.loads(text.split("Example config:")[1]
+                      .split("```json\n")[1].split("```")[0])
+
+
+@pytest.mark.parametrize("command", ["protocol", "wireless"])
+def test_readme_example_config_runs(tmp_path, command):
+    cfg = write_config(tmp_path, _readme_config())
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 class TestReproducibility:

@@ -232,8 +232,11 @@ class TestLeakageAuditOracle:
                     assert infotools.leakage_audit(cb, m) == expected
 
     def test_memory_of_one_large_audit(self):
-        # One int64 code per codeword, freed before the entropy tables;
-        # the oracle's index arrays alone need three times that.
+        # The audit builds the codebook's cached key array (uint16, 2 MiB
+        # at 2^20 codewords) and counts it in blocks of 2^15 codewords, so
+        # the peak is that array, the 2 MiB (K, W_m) count table and a few
+        # float copies of the table; an 8 MiB int64 code per codeword, as
+        # a whole-codebook bincount needs, would not fit under the bound.
         cb = build_codebook([5, 5, 5, 5], 13, seed=4)
         tracemalloc.start()
         try:

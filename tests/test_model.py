@@ -7,9 +7,8 @@ from pinkey.model import (PairSource, PinInstance, ProtocolParams,
                           binary_entropy, pair_mutual_informations, sample)
 
 
-def make_instance(pairs, n=4, seed=0):
-    return PinInstance(m=len(pairs), pairs=pairs,
-                       params=ProtocolParams(n=n, seed=seed))
+def make_instance(pairs, n=4):
+    return PinInstance(m=len(pairs), pairs=pairs, params=ProtocolParams(n=n))
 
 
 class TestPairSource:
@@ -37,6 +36,22 @@ class TestPairSource:
         with pytest.raises(ValueError):
             PairSource.ideal_common(-1, 0)
 
+    @pytest.mark.parametrize("mode,field,value", [
+        ("dsbs", "bits_a", 9), ("dsbs", "bits_b", 1),
+        ("ideal_common", "crossover_a", 0.4),
+        ("ideal_common", "crossover_b", 1e-9)])
+    def test_field_of_other_mode_rejected(self, mode, field, value):
+        with pytest.raises(ValueError, match="other mode"):
+            PairSource(mode=mode, **{field: value})
+
+    def test_explicit_zeros_of_other_mode_accepted(self):
+        ideal = PairSource(mode="ideal_common", bits_a=2, bits_b=1,
+                           crossover_a=0.0, crossover_b=0)
+        noisy = PairSource(mode="dsbs", crossover_a=0.1, crossover_b=0.2,
+                           bits_a=0, bits_b=0)
+        assert ideal == PairSource.ideal_common(2, 1)
+        assert noisy == PairSource.dsbs(0.1, 0.2)
+
 
 class TestInstanceValidation:
     def test_rejects_single_relay(self):
@@ -58,7 +73,7 @@ class TestInstanceValidation:
 
 class TestSampling:
     def test_ideal_common_shared_exactly(self):
-        inst = make_instance([PairSource.ideal_common(1, 1)] * 2, n=4, seed=7)
+        inst = make_instance([PairSource.ideal_common(1, 1)] * 2, n=4)
         real = sample(inst, 7)
         for i in range(2):
             assert real.x_a[i].size == 4

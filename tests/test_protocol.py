@@ -14,17 +14,16 @@ from pinkey.protocol import (PairwiseKeys, Transcript, agree_keys,
                              relay_sender, xor_broadcast, xor_payloads)
 
 
-def ideal_instance(bit_pairs, n=1, seed=0, epsilon_bits=1):
+def ideal_instance(bit_pairs, n=1, epsilon_bits=1):
     pairs = [PairSource.ideal_common(a, b) for a, b in bit_pairs]
     return PinInstance(m=len(pairs), pairs=pairs,
-                       params=ProtocolParams(n=n, epsilon_bits=epsilon_bits,
-                                             seed=seed))
+                       params=ProtocolParams(n=n, epsilon_bits=epsilon_bits))
 
 
-def dsbs_instance(crossovers, n, seed=0):
+def dsbs_instance(crossovers, n):
     pairs = [PairSource.dsbs(p, p) for p in crossovers]
     return PinInstance(m=len(pairs), pairs=pairs,
-                       params=ProtocolParams(n=n, seed=seed))
+                       params=ProtocolParams(n=n))
 
 
 def _toeplitz_diag(k, out_len):
