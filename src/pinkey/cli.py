@@ -38,9 +38,7 @@ _BLOCKS = {
     "root": {"seed": (int, 0), "capacity": (dict, None),
              "protocol": (dict, None), "wireless": (dict, None),
              "sweep": (dict, None)},
-    "capacity": {"pair_mis": ([[float]], None),
-                 "random_sweep": ("random_sweep", None)},
-    "random_sweep": _TIGHTNESS,
+    "capacity": {"pair_mis": ([[float]], _REQUIRED)},
     "protocol": {"m": (int, _REQUIRED), "pairs": (["pair"], _REQUIRED),
                  "n": (int, 1), "epsilon_bits": (int, 1), "trials": (int, 1)},
     "pair": {"mode": (str, _REQUIRED), "bits_a": (int, 0), "bits_b": (int, 0),
@@ -144,7 +142,7 @@ def _emit_json(out: Optional[str], digest: str, seed: int,
     _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _tightness_sweep(block: dict, seed: int, where: str) -> dict:
+def _tightness_sweep(block: dict, seed: int) -> dict:
     """Capacity against the converse bound on ``count`` random instances.
 
     Instance t draws its relay count M uniform on [m_min, m_max] and M
@@ -155,7 +153,7 @@ def _tightness_sweep(block: dict, seed: int, where: str) -> dict:
     """
     count, m_min, m_max, i_max = (block[key] for key in _TIGHTNESS)
     if m_min < 2 or m_max < m_min or count < 1 or i_max <= 0.0:
-        raise ConfigError(f"invalid {where} bounds")
+        raise ConfigError("invalid tightness sweep bounds")
     pair_mis = np.zeros((count, m_max, 2))
     for t in range(count):
         rng = np.random.Generator(np.random.PCG64(seed + t))
@@ -190,20 +188,12 @@ def _map(jobs: int, func, tasks: list) -> list:
 
 def run_capacity(config: dict, seed: int, out: Optional[str]) -> None:
     block = _section(config, "capacity")
-    results: dict = {}
-    if block["pair_mis"] is not None:
-        try:
-            report = rates.rate_report(block["pair_mis"])
-        except ValueError as exc:
-            raise ConfigError(f"capacity.pair_mis: {exc}") from exc
-        results["report"] = report.to_dict()
-        results["tightness_gap"] = abs(report.capacity - report.converse)
-    if block["random_sweep"] is not None:
-        results["random_sweep"] = _tightness_sweep(block["random_sweep"], seed,
-                                                   "capacity.random_sweep")
-    if not results:
-        raise ConfigError("capacity section needs 'pair_mis' or "
-                          "'random_sweep'")
+    try:
+        report = rates.rate_report(block["pair_mis"])
+    except ValueError as exc:
+        raise ConfigError(f"capacity.pair_mis: {exc}") from exc
+    results = {"report": report.to_dict(),
+               "tightness_gap": abs(report.capacity - report.converse)}
     _emit_json(out, _config_digest(config), seed, results)
 
 
@@ -270,6 +260,12 @@ def run_protocol(config: dict, seed: int, out: Optional[str]) -> None:
 def run_wireless(config: dict, seed: int, out: Optional[str],
                  fmt: str) -> None:
     block = _section(config, "wireless")
+    # Keys only the optimizer reads; _read filled in their defaults, so
+    # look at the keys the config wrote.
+    unread = sorted({"block_len", "power", "channel_vars"}
+                    & set(config["wireless"]))
+    if unread and not block["optimize"]:
+        raise ConfigError(f"wireless keys {unread} need 'optimize': true")
     opt = None
     try:
         rows = wireless.multiplexing_gain_sweep(
@@ -278,7 +274,7 @@ def run_wireless(config: dict, seed: int, out: Optional[str],
         if block["optimize"]:
             opt = wireless.optimize_allocation(
                 block["m"], block["block_len"], block["power"],
-                block["noise_var"], block["channel_vars"], seed=seed)
+                block["noise_var"], block["channel_vars"])
     except ValueError as exc:
         raise ConfigError(f"wireless section: {exc}") from exc
 
@@ -307,7 +303,7 @@ def run_sweep(config: dict, seed: int, out: Optional[str],
     block = _section(config, "sweep")
     kind = block["kind"]
     if kind == "tightness":
-        results = {"kind": kind, **_tightness_sweep(block, seed, "sweep")}
+        results = {"kind": kind, **_tightness_sweep(block, seed)}
     else:
         m, budgets, codebooks = (block["m"], block["bits_per_message"],
                                  block["codebooks"])
@@ -355,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the leakage sweep")
     parser.add_argument("--format", choices=["json", "csv"], default=None,
-                        help="output format (wireless defaults to csv)")
+                        help="wireless output format (default csv)")
     return parser
 
 
@@ -371,6 +367,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                               f"got {seed!r}")
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
+        if args.format is not None and args.command != "wireless":
+            raise ConfigError("--format applies only to wireless")
         if args.command == "capacity":
             run_capacity(config, seed, args.out)
         elif args.command == "protocol":

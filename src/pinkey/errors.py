@@ -14,7 +14,8 @@ class ConfigError(PinkeyError):
 
 
 class BudgetExceeded(PinkeyError):
-    """An enumeration would exceed the desk-scale budget (2^24 entries)."""
+    """An exact enumeration would exceed its desk-scale budget: 2^24
+    codewords for a codebook, 10^7 compositions for a slot allocation."""
 
 
 class InvariantViolation(PinkeyError):

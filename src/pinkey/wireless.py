@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import rates
+from .errors import BudgetExceeded
 
 _EXHAUSTIVE_LIMIT = 10_000_000
-_RESTARTS = 16
 _SCORE_CHUNK = 2048
 
 
@@ -194,31 +194,23 @@ def _rate_table(m: int, block_len: int, power: float, noise_var: float,
     return tab
 
 
-def _rate_of_allocation(allocation, m, block_len, power, noise_var,
-                        channel_vars) -> float:
-    cfg = WirelessConfig(m=m, power=power, noise_var=noise_var,
-                         channel_vars=channel_vars, block_len=block_len,
-                         allocation=allocation)
-    return key_rate(cfg).r_key
-
-
 @dataclass
 class AllocationResult:
     allocation: Tuple[int, ...]
     r_key: float
-    method: str  # "exhaustive" or "coordinate_ascent"
+    method: str  # always "exhaustive"; written to the output files
 
 
 def optimize_allocation(m: int, block_len: int, power: float,
                         noise_var: float,
-                        channel_vars: Sequence[Tuple[float, float]],
-                        seed: int = 0) -> AllocationResult:
+                        channel_vars: Sequence[Tuple[float, float]]
+                        ) -> AllocationResult:
     """Best training-slot allocation for the network key rate.
 
-    Exhaustive over all compositions of the block length into M+2
-    positive slots when their count is at most 10^7; otherwise seeded
-    coordinate ascent from near-uniform starts.  The method used is
-    reported so heuristic results are clearly flagged.
+    Exhaustive over all C(T-1, M+1) compositions of the block length T
+    into M+2 positive slots.  After validating the inputs, raises
+    :class:`BudgetExceeded` when that count is over 10^7, before any
+    table is built.
 
     The exhaustive search validates the inputs once and tabulates the
     pairwise rate of every (relay, side, relay slot, terminal slot) with
@@ -241,68 +233,42 @@ def optimize_allocation(m: int, block_len: int, power: float,
         raise ValueError(f"block length {block_len} cannot host "
                          f"{parts} nonempty slots")
     channel_vars = tuple((float(a), float(b)) for a, b in channel_vars)
+    first = (1,) * (parts - 1) + (block_len - parts + 1,)
+    WirelessConfig(m=m, power=power, noise_var=noise_var,
+                   channel_vars=channel_vars, block_len=block_len,
+                   allocation=first)  # validates the inputs once
     count = math.comb(block_len - 1, parts - 1)
-    if count <= _EXHAUSTIVE_LIMIT:
-        first = (1,) * (parts - 1) + (block_len - parts + 1,)
-        WirelessConfig(m=m, power=power, noise_var=noise_var,
-                       channel_vars=channel_vars, block_len=block_len,
-                       allocation=first)  # validates the inputs once
-        tab = _rate_table(m, block_len, power, noise_var, channel_vars)
-        rel, budget = _relay_compositions(m, block_len)
-        stride = tab.shape[-1]
-        # flat index of tab[i, 0, 0, 0] per relay; side 1 adds stride**2
-        base = (np.arange(m) * tab[0].size)[:, None]
-        flat = tab.ravel()
-        cols = rel.shape[1]
-        best, best_rate = None, -1.0
-        for t_a in range(1, block_len - m):
-            # every (t_B, t_1..t_M) with this t_A: the budgets R <= T-t_A-1
-            for lo in range(cols - math.comb(block_len - t_a - 1, m), cols,
-                            _SCORE_CHUNK):
-                hi = min(lo + _SCORE_CHUNK, cols)
-                idx = np.multiply(rel[:, lo:hi], stride, dtype=np.intp)
-                idx += base + t_a
-                i_a = flat.take(idx)
-                # tab[i, 1, t_i, t_B] lies stride**2 + t_B - t_A further on
-                idx += np.subtract(block_len - 2 * t_a + stride * stride,
-                                   budget[lo:hi], dtype=np.intp)
-                i_g = np.minimum(i_a, flat.take(idx), out=i_a)
-                r_key = rates.capacity(i_g.T) / block_len
-                j = int(np.argmax(r_key))
-                if r_key[j] > best_rate:
-                    best_rate = float(r_key[j])
-                    best = (t_a, block_len - t_a - int(budget[lo + j]),
-                            *rel[:, lo + j].tolist())
-        return AllocationResult(best, best_rate, "exhaustive")
-
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if count > _EXHAUSTIVE_LIMIT:
+        raise BudgetExceeded(
+            f"slot allocation of M={m}, T={block_len} has {count:,} "
+            f"compositions, over the {_EXHAUSTIVE_LIMIT:,} budget")
+    tab = _rate_table(m, block_len, power, noise_var, channel_vars)
+    rel, budget = _relay_compositions(m, block_len)
+    stride = tab.shape[-1]
+    # flat index of tab[i, 0, 0, 0] per relay; side 1 adds stride**2
+    base = (np.arange(m) * tab[0].size)[:, None]
+    flat = tab.ravel()
+    cols = rel.shape[1]
     best, best_rate = None, -1.0
-    for _ in range(_RESTARTS):
-        alloc = np.ones(parts, dtype=int)
-        for _ in range(block_len - parts):
-            alloc[rng.integers(parts)] += 1
-        rate = _rate_of_allocation(tuple(alloc), m, block_len, power,
-                                   noise_var, channel_vars)
-        improved = True
-        while improved:
-            improved = False
-            for src in range(parts):
-                for dst in range(parts):
-                    if src == dst or alloc[src] <= 1:
-                        continue
-                    alloc[src] -= 1
-                    alloc[dst] += 1
-                    r = _rate_of_allocation(tuple(alloc), m, block_len,
-                                            power, noise_var, channel_vars)
-                    if r > rate:
-                        rate = r
-                        improved = True
-                    else:
-                        alloc[src] += 1
-                        alloc[dst] -= 1
-        if rate > best_rate:
-            best, best_rate = tuple(int(t) for t in alloc), rate
-    return AllocationResult(best, best_rate, "coordinate_ascent")
+    for t_a in range(1, block_len - m):
+        # every (t_B, t_1..t_M) with this t_A: the budgets R <= T-t_A-1
+        for lo in range(cols - math.comb(block_len - t_a - 1, m), cols,
+                        _SCORE_CHUNK):
+            hi = min(lo + _SCORE_CHUNK, cols)
+            idx = np.multiply(rel[:, lo:hi], stride, dtype=np.intp)
+            idx += base + t_a
+            i_a = flat.take(idx)
+            # tab[i, 1, t_i, t_B] lies stride**2 + t_B - t_A further on
+            idx += np.subtract(block_len - 2 * t_a + stride * stride,
+                               budget[lo:hi], dtype=np.intp)
+            i_g = np.minimum(i_a, flat.take(idx), out=i_a)
+            r_key = rates.capacity(i_g.T) / block_len
+            j = int(np.argmax(r_key))
+            if r_key[j] > best_rate:
+                best_rate = float(r_key[j])
+                best = (t_a, block_len - t_a - int(budget[lo + j]),
+                        *rel[:, lo + j].tolist())
+    return AllocationResult(best, best_rate, "exhaustive")
 
 
 @dataclass

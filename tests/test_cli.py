@@ -41,14 +41,6 @@ class TestCapacityCommand:
         assert doc["seed"] == 1
         assert len(doc["config_digest"]) == 64
 
-    def test_random_sweep_no_failures(self, tmp_path):
-        cfg = write_config(tmp_path,
-                           {"capacity": {"random_sweep": {"count": 300}}})
-        out = tmp_path / "out.json"
-        assert main(["capacity", "--config", cfg, "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["results"]["random_sweep"]["tightness_failures"] == 0
-
     def test_single_relay_rejected(self, tmp_path):
         cfg = write_config(tmp_path,
                            {"capacity": {"pair_mis": [[1.0, 1.0]]}})
@@ -67,25 +59,6 @@ class TestCapacityCommand:
     def test_missing_file_rejected(self, tmp_path):
         assert main(["capacity", "--config",
                      str(tmp_path / "absent.json")]) == 2
-
-    def test_random_sweep_equals_tightness_sweep(self, tmp_path):
-        bounds = {"count": 500, "m_min": 3, "m_max": 9, "i_max": 1e3}
-        out_cap, out_sweep = tmp_path / "cap.json", tmp_path / "sweep.json"
-        cap = write_config(tmp_path, {"capacity": {"random_sweep": bounds}},
-                           "cap.json")
-        sweep = write_config(tmp_path,
-                             {"sweep": dict(bounds, kind="tightness")},
-                             "sweep.json")
-        assert main(["capacity", "--config", cap, "--seed", "4",
-                     "--out", str(out_cap)]) == 0
-        assert main(["sweep", "--config", sweep, "--seed", "4",
-                     "--out", str(out_sweep)]) == 0
-        got_cap = json.loads(out_cap.read_text())["results"]["random_sweep"]
-        got_sweep = json.loads(out_sweep.read_text())["results"]
-        assert got_sweep.pop("kind") == "tightness"
-        assert got_cap == got_sweep
-        assert got_cap == {"count": 500, "tightness_failures": 0,
-                           "max_gap": 0.0}
 
 
 class TestProtocolCommand:
@@ -156,6 +129,17 @@ class TestWirelessCommand:
         assert "P,rb_ratio,xor_ratio,r_key,r_s" in lines
         assert len([l for l in lines if not l.startswith("#")]) == 4
 
+    def test_over_budget_optimizer_exit_3(self, tmp_path, capsys):
+        # M=4, T=69 has 10,424,128 slot allocations, over the 10^7 budget.
+        cfg = write_config(tmp_path,
+                           {"wireless": {"m": 4, "power_grid": [10.0],
+                                         "optimize": True, "block_len": 69,
+                                         "power": 10.0}})
+        out = tmp_path / "out.csv"
+        assert main(["wireless", "--config", cfg, "--out", str(out)]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_json_with_optimizer(self, tmp_path):
         cfg = write_config(tmp_path,
                            {"wireless": {"m": 2, "power_grid": [10.0, 100.0],
@@ -202,6 +186,14 @@ class TestWirelessCommand:
 
 
 class TestSweepCommand:
+    def test_tightness_sweep_no_failures(self, tmp_path):
+        cfg = write_config(tmp_path,
+                           {"sweep": {"kind": "tightness", "count": 300}})
+        out = tmp_path / "out.json"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["results"]["tightness_failures"] == 0
+
     def test_leakage_sweep(self, tmp_path):
         cfg = write_config(tmp_path,
                            {"sweep": {"kind": "leakage", "m": 2,
@@ -303,11 +295,11 @@ BAD_CONFIGS = {
     "i_max_zero": ("sweep", '{"sweep": {"kind": "tightness", "i_max": 0}}'),
     "count_overflow": ("sweep", '{"sweep": {"kind": "tightness", '
                                 '"count": 1e309}}'),
-    "count_null": ("capacity", '{"capacity": {"random_sweep": '
-                               '{"count": null}}}'),
-    "sweep_not_object": ("capacity", '{"capacity": {"random_sweep": 5}}'),
-    "i_max_overflow": ("capacity", '{"capacity": {"random_sweep": '
-                                   '{"i_max": 1e309}}}'),
+    "count_null": ("sweep", '{"sweep": {"kind": "tightness", '
+                            '"count": null}}'),
+    "sweep_not_object": ("sweep", '{"sweep": 5}'),
+    "i_max_overflow": ("sweep", '{"sweep": {"kind": "tightness", '
+                                '"i_max": 1e309}}'),
     "budget_text": ("sweep", '{"sweep": {"kind": "leakage", '
                              '"bits_per_message": ["x"]}}'),
     "budgets_not_list": ("sweep", '{"sweep": {"kind": "leakage", '
@@ -380,13 +372,36 @@ BAD_CONFIGS = {
     "power_boolean": ("wireless", '{"wireless": {"m": 2, '
                                   '"power_grid": [10.0], "optimize": true, '
                                   '"power": true}}'),
-    "i_max_text": ("capacity", '{"capacity": {"random_sweep": '
-                               '{"count": 2, "i_max": "1e3"}}}'),
+    "i_max_text": ("sweep", '{"sweep": {"kind": "tightness", '
+                            '"count": 2, "i_max": "1e3"}}'),
     "pair_mis_boolean": ("capacity", '{"capacity": {"pair_mis": '
                                      '[[1, true], [1, 1]]}}'),
     "seed_text_overridden": ("capacity --seed 4",
                              '{"seed": "abc", "capacity": '
                              '{"pair_mis": [[1, 1], [1, 1]]}}'),
+    # Each of these ran before every result had one config path: the
+    # removed capacity.random_sweep, a flag or key that went unread.
+    "capacity_random_sweep": ("capacity", '{"capacity": {"pair_mis": '
+                                          '[[1, 1], [1, 1]], "random_sweep": '
+                                          '{"count": 2}}}'),
+    "capacity_random_sweep_only": ("capacity", '{"capacity": '
+                                               '{"random_sweep": '
+                                               '{"count": 2}}}'),
+    "capacity_without_pair_mis": ("capacity", '{"capacity": {}}'),
+    "capacity_format": ("capacity --format csv", '{"capacity": {"pair_mis": '
+                                                 '[[1, 1], [1, 1]]}}'),
+    "protocol_format": ("protocol --format json", json.dumps(
+        {"protocol": dict(IDEAL_PROTOCOL, trials=1)})),
+    "sweep_format": ("sweep --format csv", '{"sweep": {"kind": "tightness", '
+                                           '"count": 2}}'),
+    "unread_block_len": ("wireless", '{"wireless": {"m": 2, '
+                                     '"power_grid": [10.0], "power": 55.0, '
+                                     '"block_len": 3}}'),
+    "unread_power": ("wireless", '{"wireless": {"m": 2, "power_grid": [10.0], '
+                                 '"optimize": false, "power": 5.0}}'),
+    "unread_channel_vars": ("wireless", '{"wireless": {"m": 2, '
+                                        '"power_grid": [10.0], '
+                                        '"channel_vars": [[1, 1], [1, 1]]}}'),
 }
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pinkey import wireless
+from pinkey.errors import BudgetExceeded
 from pinkey.wireless import (AllocationResult, WirelessConfig, key_rate,
                              mc_estimate_check, multiplexing_gain_sweep,
                              optimize_allocation, pairwise_rate,
@@ -265,23 +266,44 @@ class TestOptimizeAllocation:
         with pytest.raises(ValueError):
             optimize_allocation(3, 4, 1.0, 1.0, [(1, 1)] * 3)
 
-    def test_heuristic_flagged(self):
-        opt = optimize_allocation(2, 400, 1.0, 1.0, [(1, 1), (1, 1)])
-        assert opt.method == "coordinate_ascent"
-        assert sum(opt.allocation) == 400
+    def test_over_budget_raises_before_any_table(self, monkeypatch):
+        # M=2, T=400 has C(399, 3) = 10,507,399 compositions.
+        def forbidden(*args):
+            raise AssertionError("table built for an over-budget search")
 
-    def test_exact_above_one_million_compositions(self, monkeypatch):
-        # M=4, T=45 has 1,086,008 compositions.  Coordinate ascent stops
-        # at a lower rate on this instance; the exact search must not.
+        monkeypatch.setattr(wireless, "_rate_table", forbidden)
+        monkeypatch.setattr(wireless, "_relay_compositions", forbidden)
+        with pytest.raises(BudgetExceeded):
+            optimize_allocation(2, 400, 1.0, 1.0, [(1, 1), (1, 1)])
+        # M=4, T=69 (10,424,128) is the first M=4 block over the budget.
+        with pytest.raises(BudgetExceeded):
+            optimize_allocation(4, 69, 1.0, 1.0, [(1, 1)] * 4)
+
+    def test_inputs_checked_before_budget(self):
+        with pytest.raises(ValueError):
+            optimize_allocation(2, 400, 0.0, 1.0, [(1, 1), (1, 1)])
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        # M=3, T=12 has C(11, 4) = 330 compositions.
+        monkeypatch.setattr(wireless, "_EXHAUSTIVE_LIMIT", 330)
+        assert optimize_allocation(3, 12, 2.0, 1.0, [(1, 1)] * 3).method \
+            == "exhaustive"
+        monkeypatch.setattr(wireless, "_EXHAUSTIVE_LIMIT", 329)
+        with pytest.raises(BudgetExceeded):
+            optimize_allocation(3, 12, 2.0, 1.0, [(1, 1)] * 3)
+
+    def test_exact_above_one_million_compositions(self):
+        # M=4, T=45 has 1,086,008 compositions, all searched.
         args = (4, 45, 1.0, 1.0,
                 [(0.52, 1.9), (0.63, 1.77), (1.05, 1.93), (1.1, 1.9)])
         assert math.comb(44, 5) == 1_086_008
         exact = optimize_allocation(*args)
-        monkeypatch.setattr(wireless, "_EXHAUSTIVE_LIMIT", 0)
-        ascent = optimize_allocation(*args)
         assert exact.method == "exhaustive"
-        assert ascent.method == "coordinate_ascent"
-        assert exact.r_key >= ascent.r_key
+        assert exact.allocation == (14, 4, 8, 9, 5, 5)
+        cfg = WirelessConfig(m=4, power=1.0, noise_var=1.0,
+                             channel_vars=args[4], block_len=45,
+                             allocation=exact.allocation)
+        assert exact.r_key == key_rate(cfg).r_key
 
 
 class TestMultiplexingGain:
