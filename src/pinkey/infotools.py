@@ -15,8 +15,8 @@ than numerical dust.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
-from typing import Iterable, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -111,9 +111,6 @@ class LeakageAudit:
     # |direct MI - (h_wm - h_all_given_key + h_all_given_wm_key)|
     decomposition_residual: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def codebook_key_of_all(codebook: RbCodebook) -> np.ndarray:
     """Bin index of every message tuple, in flat (row-major) order: the
@@ -189,9 +186,6 @@ class MiEstimate:
     ci_high: float
     samples: int
     unreliable: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _plugin_mi(codes: np.ndarray, k_x: int, k_y: int) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -53,33 +53,33 @@ class PairSource:
     def __post_init__(self):
         if self.mode not in (MODE_IDEAL, MODE_DSBS):
             raise ValueError(f"unknown pair mode: {self.mode!r}")
-        other = ((self.crossover_a, self.crossover_b)
-                 if self.mode == MODE_IDEAL else (self.bits_a, self.bits_b))
+        ideal = self.mode == MODE_IDEAL
+        bits = (self.bits_a, self.bits_b)
+        crossovers = (self.crossover_a, self.crossover_b)
+        own, other = (bits, crossovers) if ideal else (crossovers, bits)
         if any(other):
             raise ValueError(f"{self.mode} pair sets a field of the other "
                              f"mode: {other}")
-        if self.mode == MODE_IDEAL:
-            for bits in (self.bits_a, self.bits_b):
-                # bool is Integral, but true is not a bit count.
-                if (isinstance(bits, bool)
-                        or not isinstance(bits, numbers.Integral)):
-                    raise ValueError(f"shared bit counts must be "
-                                     f"integers, got {bits!r}")
-            if self.bits_a < 0 or self.bits_b < 0:
-                raise ValueError("shared bit counts must be >= 0")
-        else:
-            for p in (self.crossover_a, self.crossover_b):
-                if not 0.0 <= p <= 0.5:
-                    raise ValueError(f"crossover must lie in [0, 0.5]: {p}")
+        kind = numbers.Integral if ideal else numbers.Real
+        for v in own:
+            # bool is Integral, but true is neither a bit count nor a
+            # probability.
+            if isinstance(v, bool) or not isinstance(v, kind):
+                raise ValueError(f"{self.mode} pair fields must be "
+                                 f"{kind.__name__.lower()}, got {v!r}")
+        if ideal and min(bits) < 0:
+            raise ValueError("shared bit counts must be >= 0")
+        if not ideal and not all(0.0 <= p <= 0.5 for p in crossovers):
+            raise ValueError(f"crossover must lie in [0, 0.5]: {crossovers}")
 
     @classmethod
     def ideal_common(cls, bits_a: int, bits_b: int) -> "PairSource":
-        return cls(mode=MODE_IDEAL, bits_a=int(bits_a), bits_b=int(bits_b))
+        return cls(mode=MODE_IDEAL, bits_a=bits_a, bits_b=bits_b)
 
     @classmethod
     def dsbs(cls, crossover_a: float, crossover_b: float) -> "PairSource":
-        return cls(mode=MODE_DSBS, crossover_a=float(crossover_a),
-                   crossover_b=float(crossover_b))
+        return cls(mode=MODE_DSBS, crossover_a=crossover_a,
+                   crossover_b=crossover_b)
 
     def mutual_informations(self) -> Tuple[float, float]:
         """Per-repetition MI (bits) of the Alice-side and Bob-side pairs."""

@@ -26,15 +26,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .bitops import as_bits, bits_to_hex
 from .errors import InvariantViolation, ReconciliationFailure
-from .model import (MODE_DSBS, MODE_IDEAL, PinInstance, SourceRealization,
-                    binary_entropy)
+from .model import MODE_IDEAL, PinInstance, SourceRealization, binary_entropy
 
 SENDER_ALICE = "alice"
 SENDER_BOB = "bob"
@@ -68,10 +67,11 @@ class Round:
 class Transcript:
     """Ordered public-channel messages with the round-robin schedule.
 
-    With M relays the schedule has period M+2: relay m owns rounds
-    l = m (mod M+2), Alice owns l = M+1, Bob owns l = 0 (mod M+2).
-    Only rounds that actually carry a payload are recorded; indices are
-    strictly increasing.
+    With M relays the schedule has period M+2: relay m (sender
+    ``relay_sender(m - 1)``, m = 1..M) owns rounds l = m (mod M+2),
+    Alice owns l = M+1 and Bob owns l = 0 (mod M+2).  Any other sender
+    raises ``ValueError``.  Only rounds that actually carry a payload are
+    recorded; indices are strictly increasing.
     """
 
     def __init__(self, num_relays: int):
@@ -80,18 +80,13 @@ class Transcript:
         self.num_relays = num_relays
         self.rounds: List[Round] = []
         self._last = 0
+        self._residues = {relay_sender(i): i + 1 for i in range(num_relays)}
+        self._residues.update({SENDER_ALICE: num_relays + 1, SENDER_BOB: 0})
 
     def _residue(self, sender: str) -> int:
-        period = self.num_relays + 2
-        if sender == SENDER_ALICE:
-            return (self.num_relays + 1) % period
-        if sender == SENDER_BOB:
-            return 0
-        if sender.startswith("relay-"):
-            m = int(sender.split("-", 1)[1])
-            if 1 <= m <= self.num_relays:
-                return m
-        raise ValueError(f"unknown sender: {sender!r}")
+        if sender not in self._residues:
+            raise ValueError(f"unknown sender: {sender!r}")
+        return self._residues[sender]
 
     def append(self, sender: str, payload) -> Round:
         """Log a payload at the sender's next scheduled round."""
@@ -112,9 +107,6 @@ class Transcript:
                 return False
             last = rnd.index
         return True
-
-    def total_bits(self) -> int:
-        return sum(r.payload.size for r in self.rounds)
 
     def to_jsonl(self) -> str:
         lines = []
@@ -231,6 +223,12 @@ def reconcile_pair(seq_terminal, seq_relay,
     )
 
 
+def _bob_side_common(len_a: int, len_b: int) -> bool:
+    """The side rule of the XOR broadcast: the shorter key of a relay's
+    pair is its common message, and the Bob-side key wins a tie."""
+    return len_b <= len_a
+
+
 @dataclass
 class PairwiseKeys:
     """Pairwise keys held after the agreement step.
@@ -248,12 +246,10 @@ class PairwiseKeys:
 
     @property
     def common(self) -> List[np.ndarray]:
-        """Ground-truth common messages: the smaller key of each pair
-        (relay copy; ties go to the Bob side)."""
-        out = []
-        for wa, wb in zip(self.relay_w_a, self.relay_w_b):
-            out.append(wb if wb.size <= wa.size else wa)
-        return out
+        """Ground-truth common messages: the relay copy of the side
+        :func:`_bob_side_common` picks for each pair."""
+        return [wb if _bob_side_common(wa.size, wb.size) else wa
+                for wa, wb in zip(self.relay_w_a, self.relay_w_b)]
 
     @property
     def rates(self) -> List[float]:
@@ -326,28 +322,21 @@ def xor_broadcast(keys: PairwiseKeys,
     return payloads
 
 
-def _recover(own: np.ndarray, other_len: int, payload: np.ndarray,
-             own_is_a_side: bool) -> np.ndarray:
-    if other_len < own.size:
-        return payload ^ own[:other_len]
-    if other_len > own.size:
-        return own
-    # Equal lengths: the common message is the Bob-side key.
-    return (payload ^ own) if own_is_a_side else own
-
-
 def alice_common(keys: PairwiseKeys,
                  payloads: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Alice's reconstruction of every common message from the broadcast.
+    """Alice's reconstruction of every common message from the broadcast:
+    her own key, or the payload XOR that many leading bits of it.
 
     Key lengths are public metadata, so Alice knows which side is the
-    smaller."""
-    return [_recover(keys.w_a[i], keys.relay_w_b[i].size, payloads[i], True)
-            for i in range(len(keys.w_a))]
+    shorter."""
+    return [x ^ wa[:x.size] if _bob_side_common(wa.size, wb.size) else wa
+            for wa, wb, x in zip(keys.w_a, keys.relay_w_b, payloads,
+                                 strict=True)]
 
 
 def bob_common(keys: PairwiseKeys,
                payloads: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Bob's reconstruction of every common message from the broadcast."""
-    return [_recover(keys.w_b[i], keys.relay_w_a[i].size, payloads[i], False)
-            for i in range(len(keys.w_b))]
+    return [wb if _bob_side_common(wa.size, wb.size) else x ^ wb[:x.size]
+            for wa, wb, x in zip(keys.relay_w_a, keys.w_b, payloads,
+                                 strict=True)]

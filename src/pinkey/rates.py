@@ -7,27 +7,39 @@ the cut sum_i I_i - I_m.  Both evaluate one instance or a whole array of
 instances at once and add the relay columns left to right, so they share
 one total and agree exactly.  ``xor_baseline_rate`` pairs relays in
 listed order and sums pairwise minima.
+
+Inputs are M values or M (Alice-side, Bob-side) MI pairs, as a sequence
+of ints and floats or an integer or float array; anything else raises
+``ValueError``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, asdict
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import model
-from .model import PinInstance
-
 PairMis = Sequence[Tuple[float, float]]
+
+
+def _reals(values) -> np.ndarray:
+    """``values`` as a float array, from ints and floats only."""
+    if isinstance(values, np.ndarray):
+        ok = values.dtype.kind in "iuf"
+    else:
+        values = np.array(values, dtype=object)
+        ok = not any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+                     for v in values.flat)
+    if not ok:
+        raise ValueError("rate inputs must be ints and floats")
+    return values.astype(float, copy=False)
 
 
 def _validated(i_values) -> np.ndarray:
     """Per-relay values as a float array of shape (..., M), M >= 2."""
-    if isinstance(i_values, np.ndarray):
-        vals = np.asarray(i_values, dtype=float)
-    else:
-        vals = np.array([float(v) for v in i_values])
+    vals = _reals(i_values)
     if vals.ndim == 0 or vals.shape[-1] < 2:
         raise ValueError("at least two relays are required")
     bad = ~np.isfinite(vals) | (vals < 0.0)
@@ -82,26 +94,18 @@ class ConverseResult:
     per_m_cuts: Union[List[float], np.ndarray]
 
 
-def _pair_mis(source: Union[PinInstance, PairMis]) -> List[Tuple[float, float]]:
-    if isinstance(source, PinInstance):
-        return model.pair_mutual_informations(source)
-    return [(float(a), float(b)) for a, b in source]
-
-
 def converse_bound(source) -> ConverseResult:
     """Upper bound from the M enhanced source models, one per relay.
 
-    Takes a :class:`PinInstance`, one instance as M (Alice-side,
-    Bob-side) MI pairs, or an array of shape (..., M, 2).  Model m gives
-    the cut sum_i I_i - I_m with I_i = min of relay i's pair; the bound
-    is the minimum cut over m.  The total is the left-to-right column
-    sum :func:`capacity` uses, so ``bound`` equals the capacity exactly.
+    Takes one instance as M (Alice-side, Bob-side) MI pairs, or an array
+    of shape (..., M, 2).  Model m gives the cut sum_i I_i - I_m with
+    I_i = min of relay i's pair; the bound is the minimum cut over m.
+    The total is the left-to-right column sum :func:`capacity` uses, so
+    ``bound`` equals the capacity exactly.
     One instance gives a float bound and a list of M cuts; an array
     gives arrays of shape (...) and (..., M).
     """
-    if isinstance(source, PinInstance):
-        source = model.pair_mutual_informations(source)
-    pairs = np.asarray(source, dtype=float)
+    pairs = _reals(source)
     if pairs.ndim < 2 or pairs.shape[-1] != 2:
         raise ValueError("pair MIs must have shape (..., M, 2)")
     i_vals = _validated(np.minimum(pairs[..., 0], pairs[..., 1]))
@@ -128,10 +132,14 @@ class RateReport:
         return asdict(self)
 
 
-def rate_report(source: Union[PinInstance, PairMis]) -> RateReport:
-    pair_mis = _pair_mis(source)
-    i_vals = [min(a, b) for a, b in pair_mis]
-    conv = converse_bound(pair_mis)
+def rate_report(pair_mis: PairMis) -> RateReport:
+    """Every closed-form rate of one instance, given as M (Alice-side,
+    Bob-side) MI pairs."""
+    pairs = _reals(pair_mis)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("pair MIs must have shape (M, 2)")
+    i_vals = [min(a, b) for a, b in pairs.tolist()]
+    conv = converse_bound(pairs)
     return RateReport(
         i_per_relay=i_vals,
         i_sorted=sorted(i_vals),

@@ -16,7 +16,8 @@ independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+import numbers
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -26,6 +27,16 @@ from .errors import BudgetExceeded
 
 _EXHAUSTIVE_LIMIT = 10_000_000
 _SCORE_CHUNK = 2048
+
+
+def _as(kind: type, value, what: str):
+    """``kind(value)`` for ``kind`` int or float; a boolean, or a value
+    that is not integral (int) or real (float), raises ``ValueError``."""
+    abc = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, abc):
+        raise ValueError(f"{what} must be {abc.__name__.lower()}, "
+                         f"got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -39,10 +50,12 @@ class WirelessConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "channel_vars",
-                           tuple((float(a), float(b))
+                           tuple((_as(float, a, "channel variance"),
+                                  _as(float, b, "channel variance"))
                                  for a, b in self.channel_vars))
         object.__setattr__(self, "allocation",
-                           tuple(int(t) for t in self.allocation))
+                           tuple(_as(int, t, "training slot")
+                                 for t in self.allocation))
         if self.m < 2:
             raise ValueError("at least two relays are required")
         if not (0 < self.power < math.inf and 0 < self.noise_var < math.inf):
@@ -105,9 +118,6 @@ class WirelessRateReport:
     i_g: List[float]                     # per-relay minima
     r_key: float                         # bits per channel use
     xor_r_key: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def key_rate(config: WirelessConfig) -> WirelessRateReport:
@@ -232,17 +242,16 @@ def optimize_allocation(m: int, block_len: int, power: float,
     if block_len < parts:
         raise ValueError(f"block length {block_len} cannot host "
                          f"{parts} nonempty slots")
-    channel_vars = tuple((float(a), float(b)) for a, b in channel_vars)
     first = (1,) * (parts - 1) + (block_len - parts + 1,)
-    WirelessConfig(m=m, power=power, noise_var=noise_var,
-                   channel_vars=channel_vars, block_len=block_len,
-                   allocation=first)  # validates the inputs once
+    config = WirelessConfig(m=m, power=power, noise_var=noise_var,
+                            channel_vars=channel_vars, block_len=block_len,
+                            allocation=first)  # validates the inputs once
     count = math.comb(block_len - 1, parts - 1)
     if count > _EXHAUSTIVE_LIMIT:
         raise BudgetExceeded(
             f"slot allocation of M={m}, T={block_len} has {count:,} "
             f"compositions, over the {_EXHAUSTIVE_LIMIT:,} budget")
-    tab = _rate_table(m, block_len, power, noise_var, channel_vars)
+    tab = _rate_table(m, block_len, power, noise_var, config.channel_vars)
     rel, budget = _relay_compositions(m, block_len)
     stride = tab.shape[-1]
     # flat index of tab[i, 0, 0, 0] per relay; side 1 adds stride**2
@@ -290,7 +299,7 @@ def multiplexing_gain_sweep(m: int, p_grid: Sequence[float],
     variances) so the high-power ratios converge to M-1 for the binning
     scheme and floor(M/2) for the XOR baseline.
     """
-    p_grid = [float(p) for p in p_grid]
+    p_grid = [_as(float, p, "grid power") for p in p_grid]
     if not p_grid or any(b <= a for a, b in zip(p_grid, p_grid[1:])):
         raise ValueError("power grid must be nonempty and increasing")
     if not all(p > 1.0 for p in p_grid):
@@ -317,9 +326,6 @@ class McCheckResult:
     gap: float
     samples: int
     degenerate: bool  # noiseless limit; gap check not meaningful
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def mc_estimate_check(config: WirelessConfig, pair_index: int,

@@ -36,6 +36,19 @@ class TestPairSource:
         with pytest.raises(ValueError):
             PairSource.ideal_common(-1, 0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: PairSource.ideal_common(2.5, 1),
+        lambda: PairSource.ideal_common(True, 1),
+        lambda: PairSource.dsbs("0.1", 0.2),
+        lambda: PairSource.dsbs(0.1, False),
+        lambda: PairSource(mode="dsbs", crossover_a="0.1"),
+        lambda: PairSource(mode="dsbs", crossover_b=False)])
+    def test_constructors_reject_unconverted_values(self, build):
+        # Nothing is coerced: 2.5 is not 2 bits, true is not 1 bit and a
+        # string is not a probability.
+        with pytest.raises(ValueError):
+            build()
+
     @pytest.mark.parametrize("mode,field,value", [
         ("dsbs", "bits_a", 9), ("dsbs", "bits_b", 1),
         ("ideal_common", "crossover_a", 0.4),

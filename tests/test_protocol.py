@@ -72,6 +72,21 @@ class TestTranscript:
         with pytest.raises(ValueError):
             t.append("eve", [1])
 
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_documented_schedule(self, m):
+        t = Transcript(m)
+        senders = ([relay_sender(i) for i in range(m)] + ["alice", "bob"])
+        for sender in senders * 2:
+            t.append(sender, [1])
+        want = [i + 1 for i in range(m)] + [m + 1, 0]
+        assert [r.index % (m + 2) for r in t.rounds] == want * 2
+        assert [r.index for r in t.rounds[:m + 2]] == list(range(1, m + 3))
+        assert t.schedule_ok()
+        for bad in ("relay-0", f"relay-{m + 1}", "relay-x", "relay-01",
+                    "Alice"):
+            with pytest.raises(ValueError):
+                t.append(bad, [1])
+
     def test_jsonl_and_digest_deterministic(self):
         def build():
             t = Transcript(2)
@@ -154,6 +169,26 @@ class TestXorBroadcast:
             payloads = xor_payloads(keys)
             np.testing.assert_array_equal(alice_common(keys, payloads)[0], wb)
             np.testing.assert_array_equal(bob_common(keys, payloads)[0], wb)
+
+    @pytest.mark.parametrize("len_a,len_b",
+                             itertools.product(range(1, 5), repeat=2))
+    def test_side_rule_one_relay(self, len_a, len_b):
+        # The shorter key is the common message; Bob's side wins a tie.
+        rng = np.random.Generator(np.random.PCG64(len_a * 5 + len_b))
+        wa = rng.integers(0, 2, len_a, dtype=np.uint8)
+        wb = rng.integers(0, 2, len_b, dtype=np.uint8)
+        keys = PairwiseKeys(w_a=[wa], w_b=[wb], relay_w_a=[wa.copy()],
+                            relay_w_b=[wb.copy()], n=1)
+        payloads = xor_payloads(keys)
+        assert payloads[0].size == min(len_a, len_b)
+        np.testing.assert_array_equal(keys.common[0],
+                                      wb if len_b <= len_a else wa)
+        np.testing.assert_array_equal(alice_common(keys, payloads)[0],
+                                      keys.common[0])
+        np.testing.assert_array_equal(bob_common(keys, payloads)[0],
+                                      keys.common[0])
+        with pytest.raises(ValueError):
+            alice_common(keys, [])
 
     def test_broadcast_appends_relay_rounds(self):
         inst = ideal_instance([(1, 1), (1, 1)], n=2)

@@ -53,6 +53,23 @@ class TestCapacity:
         assert rates.capacity(bumped) >= rates.capacity(vals) - 1e-12
 
 
+@pytest.mark.parametrize("func", [rates.capacity, rates.capacity_order_stat,
+                                  rates.xor_baseline_rate])
+class TestRealInputsOnly:
+    @pytest.mark.parametrize("bad", [
+        ["3", "1"], [True, 2.0, 1.0], [1.0, None], [1.0, 2.0 + 0j],
+        np.array(["3", "1"]), np.array([True, False, True]),
+        np.array([1.0, 2.0], dtype=object)])
+    def test_rejects_non_numbers(self, func, bad):
+        with pytest.raises(ValueError):
+            func(bad)
+
+    def test_ints_read_as_floats(self, func):
+        want = func([1.0, 2.0, 3.0])
+        assert func([1, 2, 3]) == func(np.array([1, 2, 3])) == want
+        assert func(np.array([1, 2, 3], dtype=np.uint8)) == want
+
+
 class TestCapacityArray:
     def test_rows_equal_scalar_calls_exactly(self):
         rng = np.random.Generator(np.random.PCG64(7))
@@ -184,6 +201,16 @@ class TestConverseArray:
         with pytest.raises(ValueError):
             rates.converse_bound(np.ones(shape))
 
+    @pytest.mark.parametrize("func", [rates.converse_bound,
+                                      rates.rate_report])
+    @pytest.mark.parametrize("bad", [
+        [("1", 1.0), (1.0, 1.0)], [(True, 1.0), (1.0, 1.0)],
+        [(1.0, 1.0), (1.0, b"1")], np.array([["1", "1"], ["1", "1"]]),
+        np.ones((2, 2), dtype=bool)])
+    def test_rejects_non_numbers(self, func, bad):
+        with pytest.raises(ValueError):
+            func(bad)
+
 
 class TestXorBaseline:
     def test_single_pair(self):
@@ -215,3 +242,8 @@ class TestRateReport:
         assert 0.0 <= rep.xor_rate <= rep.capacity
         doc = rep.to_dict()
         assert doc["capacity"] == 1.5
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3,)])
+    def test_takes_one_instance_only(self, shape):
+        with pytest.raises(ValueError):
+            rates.rate_report(np.ones(shape))

@@ -91,6 +91,30 @@ class TestConfigValidation:
                            channel_vars=[(1, 1)], block_len=3,
                            allocation=(1, 1, 1))
 
+    @pytest.mark.parametrize("allocation,channel_vars", [
+        ((2.9, 2, 2, 2), [(1, 1), (1, 1)]),
+        ((2.0, 2, 2, 2), [(1, 1), (1, 1)]),
+        ((True, 1, 3, 3), [(1, 1), (1, 1)]),
+        (("2", 2, 2, 2), [(1, 1), (1, 1)]),
+        ((2, 2, 2, 2), [("1", 1), (1, 1)]),
+        ((2, 2, 2, 2), [(1, 1), (1.0, True)]),
+        ((2, 2, 2, 2), [(1, 1), (1.0, None)])])
+    def test_rejects_unconverted_values(self, allocation, channel_vars):
+        with pytest.raises(ValueError):
+            WirelessConfig(m=2, power=1.0, noise_var=1.0,
+                           channel_vars=channel_vars, block_len=8,
+                           allocation=allocation)
+
+    def test_accepted_numbers_normalized(self):
+        cfg = WirelessConfig(m=2, power=1.0, noise_var=1.0,
+                             channel_vars=[(1, np.float32(0.5)), (2, 3)],
+                             block_len=8,
+                             allocation=(np.int64(2), 2, 2, np.uint8(2)))
+        assert cfg.channel_vars == ((1.0, 0.5), (2.0, 3.0))
+        assert all(type(v) is float for pair in cfg.channel_vars
+                   for v in pair)
+        assert all(type(t) is int for t in cfg.allocation)
+
 
 class TestKeyRate:
     def test_symmetric_three_relays(self):
@@ -249,6 +273,8 @@ class TestOptimizeAllocation:
         (math.nan, 1.0, [(1, 1), (1, 1)]),
         (1.0, 1.0, [(1, 1), (1, math.inf)]),
         (1.0, 1.0, [(1, 1)]),
+        (1.0, 1.0, [(1, 1), ("1", 1)]),
+        (1.0, 1.0, [(True, 1), (1, 1)]),
     ])
     def test_exhaustive_rejects_bad_inputs(self, power, noise_var,
                                            channel_vars):
@@ -327,6 +353,8 @@ class TestMultiplexingGain:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             multiplexing_gain_sweep(3, [])
+        with pytest.raises(ValueError):
+            multiplexing_gain_sweep(3, ["10", "100"])
         with pytest.raises(ValueError):
             multiplexing_gain_sweep(3, [10.0, 5.0])
 
