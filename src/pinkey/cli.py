@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import sys
-from multiprocessing import Pool
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -178,9 +177,11 @@ def _map(jobs: int, func, tasks: list) -> list:
     """``[func(t) for t in tasks]``, over a pool of at most ``jobs``
     workers and never more workers than tasks.  Tasks are handed out one
     at a time, so a caller that lists its longest tasks first leaves no
-    worker idle on a long tail."""
+    worker idle on a long tail.  multiprocessing is imported here, so the
+    commands that run no pool never pay for importing it."""
     workers = min(jobs, len(tasks))
     if workers > 1:
+        from multiprocessing import Pool
         with Pool(workers) as pool:
             return pool.map(func, tasks, chunksize=1)
     return [func(t) for t in tasks]

@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .bitops import as_bits
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, as_number
 
 ENUM_BUDGET_BITS = 24
 
@@ -37,13 +37,15 @@ class RbCodebook:
     ``message_bits[i]`` is the bit width of relay i's common message.
     ``position[w]`` is the shuffled position of flat codeword index w;
     bin index = position >> bin_bits, within-bin index = the low bits.
-    ``inverse`` is the inverse permutation (both int64).
+    ``inverse`` is the inverse permutation; ``position`` is int64 and
+    ``inverse`` int32, which holds any index under the 2^24 budget.
 
     ``position`` is validated in linear time: every entry must lie in
     [0, 2^total_bits), and the scatter ``inverse[position] = arange`` into
     an array filled with -1 must hit every slot.  That many in-range
     values hitting every slot are a permutation, by pigeonhole; anything
-    else raises ``ValueError``.
+    else raises ``ValueError``.  The widths and ``key_bits`` must be
+    integers: a boolean or a float raises ``ValueError``.
 
     ``key_of_all`` (the bin index of every codeword) is built on first
     use, so codebooks that are never audited never pay for it.
@@ -51,8 +53,9 @@ class RbCodebook:
 
     def __init__(self, message_bits: Sequence[int], key_bits: int,
                  position: np.ndarray, seed: int | None = None):
-        self.message_bits = [int(b) for b in message_bits]
-        self.key_bits = int(key_bits)
+        self.message_bits = [as_number(int, b, "message width")
+                             for b in message_bits]
+        self.key_bits = as_number(int, key_bits, "key_bits")
         self.seed = seed
         self.total_bits = sum(self.message_bits)
         self.bin_bits = self.total_bits - self.key_bits
@@ -60,10 +63,12 @@ class RbCodebook:
             raise ValueError("key_bits must lie in [0, sum(message_bits)]")
         total = 1 << self.total_bits
         pos = np.asarray(position, dtype=np.int64)
-        # total in-range values that hit every slot are a permutation.
-        inverse = np.full(total, -1, dtype=np.int64)
-        if pos.shape == (total,) and pos.min() >= 0 and pos.max() < total:
-            inverse[pos] = np.arange(total)
+        # total in-range values that hit every slot are a permutation.  A
+        # negative entry reads as a huge unsigned value, so one max checks
+        # both ends of the range.
+        inverse = np.full(total, -1, dtype=np.int32)
+        if pos.shape == (total,) and pos.view(np.uint64).max() < total:
+            inverse[pos] = np.arange(total, dtype=np.int32)
         if inverse.min() < 0:
             raise ValueError("position array is not a permutation of the "
                              "message space")
@@ -121,7 +126,8 @@ class RbCodebook:
 def build_codebook(rates_bits: Sequence[int], key_bits: int,
                    seed: int) -> RbCodebook:
     """Seeded uniform equal-size partition of the message product space."""
-    rates_bits = [int(b) for b in rates_bits]
+    rates_bits = [as_number(int, b, "message width") for b in rates_bits]
+    key_bits = as_number(int, key_bits, "key_bits")
     if any(b < 0 for b in rates_bits):
         raise ValueError("per-message bit widths must be >= 0")
     total_bits = sum(rates_bits)

@@ -1,8 +1,25 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one type check of
+a number argument.
 
 Exit-code mapping used by the CLI: ConfigError -> 2, BudgetExceeded -> 3,
 InvariantViolation -> 4.  Everything else is an ordinary bug.
 """
+
+import numbers
+
+
+def as_number(kind: type, value, what: str):
+    """``kind(value)`` for ``kind`` int or float; a boolean, a value that
+    is not integral (int) or real (float), or an integer too large for a
+    float raises ``ValueError``."""
+    abc = numbers.Integral if kind is int else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, abc):
+        raise ValueError(f"{what} must be {abc.__name__.lower()}, "
+                         f"got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{what} does not fit a float: {value!r}") from None
 
 
 class PinkeyError(Exception):

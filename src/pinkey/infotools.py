@@ -86,7 +86,12 @@ def exact_mi(pmf: JointPmf, set_a: Sequence[int], set_b: Sequence[int]) -> float
         raise ValueError("variable sets must be nonempty")
     if set(a) & set(b):
         raise ValueError("variable sets must be disjoint")
-    mi = exact_entropy(pmf, a) + exact_entropy(pmf, b) - exact_entropy(pmf, a + b)
+    return _clamped_mi(exact_entropy(pmf, a) + exact_entropy(pmf, b)
+                       - exact_entropy(pmf, a + b))
+
+
+def _clamped_mi(mi: float) -> float:
+    """``max(mi, 0)``; below -1e-9 raises :class:`InvariantViolation`."""
     if mi < -_NEG_CLAMP:
         raise InvariantViolation(f"mutual information {mi} below -1e-9")
     return max(mi, 0.0)
@@ -129,8 +134,23 @@ def _wm_major_counts(key: np.ndarray, pre: int, n_wm: int, post: int,
     the table, so the counting stays in cache.  A W_m row wider than the
     block is counted whole.  All sizes are powers of two, so the blocks
     tile the rows exactly.
+
+    A block reads ``pre`` runs of ``rows * post`` keys.  When a run is
+    shorter than a 64-byte cache line and there are 16 or more blocks,
+    each block would pull every line of ``key`` through the cache, so
+    ``key`` is first copied W_m-major, one contiguous slab of about
+    ``_AUDIT_BLOCK`` codewords at a time, and the blocks read the copy
+    contiguously.
     """
     rows = max(1, min(n_wm, _AUDIT_BLOCK // (pre * post)))
+    if pre > 1 and n_wm >= 16 * rows and rows * post * key.itemsize < 64:
+        src = key.reshape(pre, n_wm, post)
+        key = np.empty((n_wm, pre, post), dtype=key.dtype)
+        slab = max(1, _AUDIT_BLOCK // (n_wm * post))
+        for lo in range(0, pre, slab):
+            key[:, lo:lo + slab] = src[lo:lo + slab].transpose(1, 0, 2)
+        pre, post = 1, pre * post
+        rows = max(1, min(n_wm, _AUDIT_BLOCK // post))
     offsets = (np.arange(rows, dtype=np.intp) << key_bits)[:, None]
     by_wm = key.reshape(pre, n_wm, post)
     codes = np.empty((pre, rows, post), dtype=np.intp)
@@ -142,6 +162,28 @@ def _wm_major_counts(key: np.ndarray, pre: int, n_wm: int, post: int,
     return table
 
 
+def _entropy_terms(nz: np.ndarray, total: int) -> tuple[float, float]:
+    """``(-sum p log2 p, sum p log2 c)`` over the positive counts ``nz``,
+    with p = c / total, summed in the order of ``nz``.
+
+    Each term is the numpy expression of the float-pmf audit, applied
+    once per count value 1..max in a lookup table and gathered in order,
+    so every sum sees the same array and returns the same bits.  A lookup
+    table is built only when it is no longer than ``nz``; otherwise the
+    terms are evaluated per count.
+    """
+    top = int(nz.max())
+    if top + 1 <= nz.size:
+        values = np.arange(top + 1)
+        values[0] = 1  # never gathered; keeps log2 finite
+        p = values / total
+        plogp, plogc = p * np.log2(p), p * np.log2(values)
+        return (float(-np.sum(np.take(plogp, nz))),
+                float(np.sum(np.take(plogc, nz))))
+    p = nz / total
+    return float(-np.sum(p * np.log2(p))), float(np.sum(p * np.log2(nz)))
+
+
 def leakage_audit(codebook: RbCodebook, relay: int) -> LeakageAudit:
     """Exact leakage of the private key toward one relay's common message.
 
@@ -151,25 +193,37 @@ def leakage_audit(codebook: RbCodebook, relay: int) -> LeakageAudit:
 
     The joint (K, W_m) counts come from the codebook's cached key array,
     counted in W_m-major blocks (:func:`_wm_major_counts`) and transposed
-    once into a C-contiguous (K, W_m) table.
+    once into a C-contiguous (K, W_m) table.  The entropies come from the
+    integer counts (:func:`_entropy_terms`); the marginals are integer row
+    and column sums over ``total``, exact dyadic values, so every term
+    has the bits of :func:`exact_mi` on the float pmf ``counts / total``.
+    The (K, W_m) table is checked against the 2^24 budget before it is
+    allocated.
     """
     if not 0 <= relay < len(codebook.message_bits):
         raise ValueError(f"relay index out of range: {relay}")
     total = 1 << codebook.total_bits
     b_m = codebook.message_bits[relay]
     shift = sum(codebook.message_bits[relay + 1:])
-    counts = np.ascontiguousarray(_wm_major_counts(
+    cells = 1 << (b_m + codebook.key_bits)
+    if cells > _TABLE_BUDGET:
+        raise BudgetExceeded(f"(K, W_m) table of {cells} entries exceeds "
+                             f"the 2^24 budget")
+    counts = _wm_major_counts(
         codebook_key_of_all(codebook), total >> (b_m + shift), 1 << b_m,
-        1 << shift, codebook.key_bits).T)
-    pmf = JointPmf(counts / total)
-    mi = exact_mi(pmf, (0,), (1,))
-    # Nothing reads the pmf again; free it before the last entropy term.
-    del pmf
+        1 << shift, codebook.key_bits)
+    h_key = entropy_bits(counts.sum(axis=0) / total)
+    h_wm_counted = entropy_bits(counts.sum(axis=1) / total)
+    # The nonzero counts in (K, W_m) C order, the order the float pmf
+    # sums them in; each table is freed as soon as it is read.
+    counts = np.ascontiguousarray(counts.T)
+    nz = counts[counts > 0]
+    del counts
+    h_joint, h_all_given_wm_key = _entropy_terms(nz, total)
+    mi = _clamped_mi(h_key + h_wm_counted - h_joint)
 
     h_wm = float(b_m)
     h_all_given_key = float(codebook.bin_bits)
-    nz = counts[counts > 0]
-    h_all_given_wm_key = float(np.sum((nz / total) * np.log2(nz)))
     residual = abs(mi - (h_wm - h_all_given_key + h_all_given_wm_key))
     return LeakageAudit(relay=relay, mi_bits=mi, h_wm=h_wm,
                         h_all_given_key=h_all_given_key,

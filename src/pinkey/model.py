@@ -18,11 +18,12 @@ pair's parameters never perturbs another pair's realization.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
+
+from .errors import as_number
 
 MODE_IDEAL = "ideal_common"
 MODE_DSBS = "dsbs"
@@ -60,13 +61,8 @@ class PairSource:
         if any(other):
             raise ValueError(f"{self.mode} pair sets a field of the other "
                              f"mode: {other}")
-        kind = numbers.Integral if ideal else numbers.Real
         for v in own:
-            # bool is Integral, but true is neither a bit count nor a
-            # probability.
-            if isinstance(v, bool) or not isinstance(v, kind):
-                raise ValueError(f"{self.mode} pair fields must be "
-                                 f"{kind.__name__.lower()}, got {v!r}")
+            as_number(int if ideal else float, v, f"{self.mode} pair field")
         if ideal and min(bits) < 0:
             raise ValueError("shared bit counts must be >= 0")
         if not ideal and not all(0.0 <= p <= 0.5 for p in crossovers):
@@ -101,6 +97,8 @@ class ProtocolParams:
     epsilon_bits: int = 1
 
     def __post_init__(self):
+        as_number(int, self.n, "n")
+        as_number(int, self.epsilon_bits, "epsilon_bits")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.epsilon_bits < 0:

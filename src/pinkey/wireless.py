@@ -16,27 +16,16 @@ independently.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from . import rates
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, as_number
 
 _EXHAUSTIVE_LIMIT = 10_000_000
 _SCORE_CHUNK = 2048
-
-
-def _as(kind: type, value, what: str):
-    """``kind(value)`` for ``kind`` int or float; a boolean, or a value
-    that is not integral (int) or real (float), raises ``ValueError``."""
-    abc = numbers.Integral if kind is int else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, abc):
-        raise ValueError(f"{what} must be {abc.__name__.lower()}, "
-                         f"got {value!r}")
-    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -50,12 +39,16 @@ class WirelessConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "channel_vars",
-                           tuple((_as(float, a, "channel variance"),
-                                  _as(float, b, "channel variance"))
+                           tuple((as_number(float, a, "channel variance"),
+                                  as_number(float, b, "channel variance"))
                                  for a, b in self.channel_vars))
         object.__setattr__(self, "allocation",
-                           tuple(_as(int, t, "training slot")
+                           tuple(as_number(int, t, "training slot")
                                  for t in self.allocation))
+        as_number(int, self.m, "m")
+        as_number(int, self.block_len, "block_len")
+        as_number(float, self.power, "power")
+        as_number(float, self.noise_var, "noise variance")
         if self.m < 2:
             raise ValueError("at least two relays are required")
         if not (0 < self.power < math.inf and 0 < self.noise_var < math.inf):
@@ -299,7 +292,7 @@ def multiplexing_gain_sweep(m: int, p_grid: Sequence[float],
     variances) so the high-power ratios converge to M-1 for the binning
     scheme and floor(M/2) for the XOR baseline.
     """
-    p_grid = [_as(float, p, "grid power") for p in p_grid]
+    p_grid = [as_number(float, p, "grid power") for p in p_grid]
     if not p_grid or any(b <= a for a, b in zip(p_grid, p_grid[1:])):
         raise ValueError("power grid must be nonempty and increasing")
     if not all(p > 1.0 for p in p_grid):

@@ -1,5 +1,8 @@
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -252,7 +255,7 @@ class TestSweepCommand:
             def map(self, func, tasks, chunksize=None):
                 return [func(t) for t in tasks]
 
-        monkeypatch.setattr(cli, "Pool", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
         cfg = write_config(tmp_path,
                            {"sweep": {"kind": "leakage", "m": 2,
                                       "bits_per_message": [2],
@@ -260,12 +263,19 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--jobs", str(jobs)]) == 0
         assert sizes == ([] if workers is None else [workers])
 
+    def test_pool_module_imported_only_by_a_pool(self):
+        # A fresh interpreter: importing the CLI loads no multiprocessing.
+        code = ("import sys, pinkey.cli; "
+                "sys.exit('multiprocessing' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code],
+                              timeout=60).returncode == 0
+
     def test_over_budget_sweep_fails_before_any_work(self, tmp_path,
                                                      monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("work started on an over-budget sweep")
 
-        monkeypatch.setattr(cli, "Pool", forbidden)
+        monkeypatch.setattr(multiprocessing, "Pool", forbidden)
         monkeypatch.setattr(cli.distillation, "build_codebook", forbidden)
         cfg = write_config(tmp_path,
                            {"sweep": {"kind": "leakage", "m": 2,

@@ -57,6 +57,21 @@ class TestBuildCodebook:
         with pytest.raises(BudgetExceeded):
             build_codebook([13, 13], 4, seed=0)
 
+    @pytest.mark.parametrize("widths,key_bits", [
+        ([2.5, 1], 1), ([2.0, 1], 1), ([True, 1], 1), (["2", 1], 1),
+        ([2, 1], 1.5), ([2, 1], 1.0), ([2, 1], True), ([2, 1], None)])
+    def test_rejects_non_integer_widths(self, widths, key_bits):
+        with pytest.raises(ValueError):
+            build_codebook(widths, key_bits, seed=0)
+        with pytest.raises(ValueError):
+            RbCodebook(widths, key_bits, np.arange(8))
+
+    def test_accepts_numpy_integer_widths(self):
+        cb = build_codebook([np.int64(2), np.uint8(1)], np.int32(1), seed=0)
+        assert cb.message_bits == [2, 1] and cb.key_bits == 1
+        assert all(type(b) is int for b in cb.message_bits)
+        assert type(cb.key_bits) is int
+
     @pytest.mark.parametrize("position", [
         [0, 0, 1, 2],           # a duplicate entry
         [0, 1, 2, 4],           # a value equal to total
@@ -73,7 +88,8 @@ class TestBuildCodebook:
         for seed, widths in enumerate([[0], [1], [2, 3], [4, 0, 4],
                                        [5, 5, 5, 5]]):
             cb = build_codebook(widths, sum(widths) // 2, seed=seed)
-            assert cb.position.dtype == cb.inverse.dtype == np.int64
+            assert cb.position.dtype == np.int64
+            assert cb.inverse.dtype == np.int32
             np.testing.assert_array_equal(cb.inverse,
                                           np.argsort(cb.position))
 

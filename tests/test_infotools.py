@@ -231,6 +231,56 @@ class TestLeakageAuditOracle:
                     monkeypatch.setattr(infotools, "_AUDIT_BLOCK", block)
                     assert infotools.leakage_audit(cb, m) == expected
 
+    def test_equals_oracle_with_and_without_lookup_tables(self):
+        # A count table with fewer nonzero counts than its largest count
+        # is evaluated per count (a zero-width relay, key_bits 0); the
+        # others gather from the p*log2 lookup tables.
+        paths = set()
+        for widths, key_bits in (([0, 20], 0), ([0, 20], 4), ([4, 6], 0),
+                                 ([6, 4], 10), ([3, 0, 2], 0), ([0], 0)):
+            cb = build_codebook(widths, key_bits, seed=key_bits + 1)
+            shifts = np.cumsum([0] + widths[:0:-1])[::-1]
+            for m in range(len(widths)):
+                w_m = (np.arange(cb.position.size) >> shifts[m]) \
+                    & ((1 << widths[m]) - 1)
+                counts = np.bincount(
+                    (cb.key_of_all.astype(np.int64) << widths[m]) | w_m)
+                nz = counts[counts > 0]
+                paths.add(int(nz.max()) + 1 <= nz.size)
+                assert infotools.leakage_audit(cb, m) == \
+                    _leakage_oracle(cb, m)
+        assert paths == {True, False}
+
+    def test_entropy_terms_on_both_paths(self):
+        # The same float expressions as the oracle, summed in C order, on
+        # tables that take the lookup path (max + 1 <= nonzero count) and
+        # the direct path.
+        rng = np.random.Generator(np.random.PCG64(5))
+        tables = [rng.integers(0, 6, size=(64, 16)),     # lookup
+                  np.array([[1 << 12]]),                 # direct
+                  np.array([[0, 5, 0], [3, 0, 8]]),      # direct
+                  rng.integers(0, 40, size=(8, 4))]      # direct, max > 32
+        for counts in tables:
+            total = int(counts.sum())
+            nz = counts[counts > 0]
+            p = nz / total
+            assert infotools._entropy_terms(nz, total) == (
+                float(-np.sum(p * np.log2(p))),
+                float(np.sum(p * np.log2(nz))))
+
+    def test_table_budget_checked_before_counting(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("count table allocated over budget")
+
+        cb = build_codebook([3, 3], 4, seed=0)
+        monkeypatch.setattr(infotools, "_TABLE_BUDGET", 1 << 7)
+        infotools.leakage_audit(cb, 0)          # 2^(3+4) cells: in budget
+        monkeypatch.setattr(infotools, "_TABLE_BUDGET", (1 << 7) - 1)
+        monkeypatch.setattr(infotools, "_wm_major_counts", forbidden)
+        for m in (0, 1):
+            with pytest.raises(BudgetExceeded):
+                infotools.leakage_audit(cb, m)
+
     def test_memory_of_one_large_audit(self):
         # The audit builds the codebook's cached key array (uint16, 2 MiB
         # at 2^20 codewords) and counts it in blocks of 2^15 codewords, so

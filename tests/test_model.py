@@ -42,7 +42,8 @@ class TestPairSource:
         lambda: PairSource.dsbs("0.1", 0.2),
         lambda: PairSource.dsbs(0.1, False),
         lambda: PairSource(mode="dsbs", crossover_a="0.1"),
-        lambda: PairSource(mode="dsbs", crossover_b=False)])
+        lambda: PairSource(mode="dsbs", crossover_b=False),
+        lambda: PairSource.dsbs(10 ** 400, 0.1)])
     def test_constructors_reject_unconverted_values(self, build):
         # Nothing is coerced: 2.5 is not 2 bits, true is not 1 bit and a
         # string is not a probability.
@@ -82,6 +83,17 @@ class TestInstanceValidation:
             ProtocolParams(n=0)
         with pytest.raises(ValueError):
             ProtocolParams(n=1, epsilon_bits=-1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n": 2.5}, {"n": 2.0}, {"n": True}, {"n": "2"},
+        {"n": 2, "epsilon_bits": True}, {"n": 2, "epsilon_bits": 1.0}])
+    def test_rejects_non_integer_params(self, kwargs):
+        with pytest.raises(ValueError):
+            ProtocolParams(**kwargs)
+
+    def test_accepts_numpy_integer_params(self):
+        params = ProtocolParams(n=np.int64(3), epsilon_bits=np.uint8(0))
+        assert (params.n, params.epsilon_bits) == (3, 0)
 
 
 class TestSampling:

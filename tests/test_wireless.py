@@ -105,6 +105,25 @@ class TestConfigValidation:
                            channel_vars=channel_vars, block_len=8,
                            allocation=allocation)
 
+    @pytest.mark.parametrize("field,value", [
+        ("power", True), ("power", "1"), ("noise_var", True),
+        ("noise_var", None), ("block_len", 8.0), ("block_len", True),
+        ("m", 2.0), pytest.param("power", 10 ** 400, id="power-huge")])
+    def test_rejects_non_numeric_scalars(self, field, value):
+        kwargs = dict(m=2, power=1.0, noise_var=1.0,
+                      channel_vars=[(1, 1), (1, 1)], block_len=8,
+                      allocation=(2, 2, 2, 2))
+        kwargs[field] = value
+        with pytest.raises(ValueError):
+            WirelessConfig(**kwargs)
+
+    def test_accepts_numpy_scalars(self):
+        cfg = WirelessConfig(m=np.int64(2), power=np.float64(1.0),
+                             noise_var=np.float32(2.0),
+                             channel_vars=[(1, 1), (1, 1)],
+                             block_len=np.int32(8), allocation=(2, 2, 2, 2))
+        assert key_rate(cfg).r_key > 0
+
     def test_accepted_numbers_normalized(self):
         cfg = WirelessConfig(m=2, power=1.0, noise_var=1.0,
                              channel_vars=[(1, np.float32(0.5)), (2, 3)],
