@@ -134,23 +134,8 @@ def _wm_major_counts(key: np.ndarray, pre: int, n_wm: int, post: int,
     the table, so the counting stays in cache.  A W_m row wider than the
     block is counted whole.  All sizes are powers of two, so the blocks
     tile the rows exactly.
-
-    A block reads ``pre`` runs of ``rows * post`` keys.  When a run is
-    shorter than a 64-byte cache line and there are 16 or more blocks,
-    each block would pull every line of ``key`` through the cache, so
-    ``key`` is first copied W_m-major, one contiguous slab of about
-    ``_AUDIT_BLOCK`` codewords at a time, and the blocks read the copy
-    contiguously.
     """
     rows = max(1, min(n_wm, _AUDIT_BLOCK // (pre * post)))
-    if pre > 1 and n_wm >= 16 * rows and rows * post * key.itemsize < 64:
-        src = key.reshape(pre, n_wm, post)
-        key = np.empty((n_wm, pre, post), dtype=key.dtype)
-        slab = max(1, _AUDIT_BLOCK // (n_wm * post))
-        for lo in range(0, pre, slab):
-            key[:, lo:lo + slab] = src[lo:lo + slab].transpose(1, 0, 2)
-        pre, post = 1, pre * post
-        rows = max(1, min(n_wm, _AUDIT_BLOCK // post))
     offsets = (np.arange(rows, dtype=np.intp) << key_bits)[:, None]
     by_wm = key.reshape(pre, n_wm, post)
     codes = np.empty((pre, rows, post), dtype=np.intp)
