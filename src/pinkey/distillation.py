@@ -11,6 +11,7 @@ capped at 2^24 codewords.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Tuple
@@ -44,8 +45,9 @@ class RbCodebook:
     [0, 2^total_bits), and the scatter ``inverse[position] = arange`` into
     an array filled with -1 must hit every slot.  That many in-range
     values hitting every slot are a permutation, by pigeonhole; anything
-    else raises ``ValueError``.  The widths and ``key_bits`` must be
-    integers: a boolean or a float raises ``ValueError``.
+    else raises ``ValueError``.  The widths, ``key_bits`` and the
+    ``position`` entries must be integers: a boolean or a float (entry or
+    array dtype) raises ``ValueError``.
 
     ``key_of_all`` (the bin index of every codeword) is built on first
     use, so codebooks that are never audited never pay for it.
@@ -62,6 +64,13 @@ class RbCodebook:
         if self.key_bits < 0 or self.bin_bits < 0:
             raise ValueError("key_bits must lie in [0, sum(message_bits)]")
         total = 1 << self.total_bits
+        if isinstance(position, np.ndarray):
+            ok = position.dtype.kind in "iu"  # O(1) for an int64 array
+        else:
+            ok = all(isinstance(w, numbers.Integral)
+                     and not isinstance(w, bool) for w in position)
+        if not ok:
+            raise ValueError("position entries must be integers")
         pos = np.asarray(position, dtype=np.int64)
         # total in-range values that hit every slot are a permutation.  A
         # negative entry reads as a huge unsigned value, so one max checks

@@ -37,15 +37,20 @@ def _reals(values) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
+def _check_finite(vals: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every entry is finite and >= 0."""
+    bad = ~np.isfinite(vals) | (vals < 0.0)
+    if bad.any():
+        raise ValueError(f"rate inputs must be finite and >= 0: "
+                         f"{float(vals[bad][0])}")
+
+
 def _validated(i_values) -> np.ndarray:
     """Per-relay values as a float array of shape (..., M), M >= 2."""
     vals = _reals(i_values)
     if vals.ndim == 0 or vals.shape[-1] < 2:
         raise ValueError("at least two relays are required")
-    bad = ~np.isfinite(vals) | (vals < 0.0)
-    if bad.any():
-        raise ValueError(f"rate inputs must be finite and >= 0: "
-                         f"{float(vals[bad][0])}")
+    _check_finite(vals)
     return vals
 
 
@@ -58,14 +63,18 @@ def _total(vals: np.ndarray) -> np.ndarray:
     return total
 
 
+def _capacity(vals: np.ndarray) -> np.ndarray:
+    """:func:`capacity` of validated values of shape (..., M)."""
+    return _total(vals) - vals.max(axis=-1)
+
+
 def capacity(i_values) -> Union[float, np.ndarray]:
     """Private-key capacity: sum of all per-relay values minus the largest.
 
     Takes one instance (a sequence of M values) or an array of shape
     (..., M) and returns a float or an array of shape (...).
     """
-    vals = _validated(i_values)
-    cap = _total(vals) - vals.max(axis=-1)
+    cap = _capacity(_validated(i_values))
     return float(cap) if cap.ndim == 0 else cap
 
 

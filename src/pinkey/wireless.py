@@ -45,10 +45,12 @@ class WirelessConfig:
         object.__setattr__(self, "allocation",
                            tuple(as_number(int, t, "training slot")
                                  for t in self.allocation))
-        as_number(int, self.m, "m")
-        as_number(int, self.block_len, "block_len")
-        as_number(float, self.power, "power")
-        as_number(float, self.noise_var, "noise variance")
+        for field, kind, what in (("m", int, "m"),
+                                  ("block_len", int, "block_len"),
+                                  ("power", float, "power"),
+                                  ("noise_var", float, "noise variance")):
+            object.__setattr__(self, field,
+                               as_number(kind, getattr(self, field), what))
         if self.m < 2:
             raise ValueError("at least two relays are required")
         if not (0 < self.power < math.inf and 0 < self.noise_var < math.inf):
@@ -89,6 +91,30 @@ def uniform_config(m: int, slot: int = 2, power: float = 1.0,
                           allocation=[slot] * (m + 2))
 
 
+def _rate_arg(prod, tsum, power: float, noise_var: float,
+              channel_var: float):
+    """1 + prod*P^2*v^2 / (d^2 + tsum*d*v*P), the argument of the pairwise
+    rate's log, for slot product ``prod`` and slot sum ``tsum`` (numbers
+    or float arrays), v the channel and d the noise variance.
+
+    The squares are Python scalars and the rest runs left to right in
+    this one order, so an array of exact integer products and sums gets,
+    entry by entry, the float a scalar call gets.  A square that
+    overflows a float raises ``ValueError``.
+    """
+    try:
+        squares = power ** 2, channel_var ** 2, noise_var ** 2
+    except OverflowError:
+        squares = (math.inf,)
+    if math.isinf(max(squares)):
+        raise ValueError("rate inputs must be finite: the square of the "
+                         "power, a channel or the noise variance overflows")
+    p2, v2, n2 = squares
+    num = prod * p2 * v2
+    den = n2 + tsum * noise_var * channel_var * power
+    return 1.0 + num / den
+
+
 def pairwise_rate(t_i: int, t_alpha: int, power: float, noise_var: float,
                   channel_var: float) -> float:
     """Closed-form pairwise key rate in bits per fading block.
@@ -100,9 +126,8 @@ def pairwise_rate(t_i: int, t_alpha: int, power: float, noise_var: float,
     if t_i <= 0 or t_alpha <= 0 or power <= 0 or noise_var <= 0 \
             or channel_var <= 0:
         raise ValueError("all arguments must be > 0")
-    num = t_i * t_alpha * power ** 2 * channel_var ** 2
-    den = noise_var ** 2 + (t_i + t_alpha) * noise_var * channel_var * power
-    return 0.5 * math.log2(1.0 + num / den)
+    return 0.5 * math.log2(_rate_arg(t_i * t_alpha, t_i + t_alpha, power,
+                                     noise_var, channel_var))
 
 
 @dataclass
@@ -178,22 +203,30 @@ def _rate_table(m: int, block_len: int, power: float, noise_var: float,
     """tab[i, side, t_i, t_alpha]: pairwise rate of relay i with Alice
     (side 0) or Bob (side 1) for every slot pair one allocation can hold.
 
-    Filled by the scalar :func:`pairwise_rate`, so a lookup returns the
-    very float :func:`key_rate` computes.  Index 0 is unused.  The rate
-    is exactly symmetric in (t_i, t_alpha), whose product and sum are
-    exact integers, so only t_i <= t_alpha is computed and the rest is
-    mirrored.
+    Each entry is the very float :func:`pairwise_rate` returns for the
+    same (Python float) arguments, so a lookup gives what :func:`key_rate`
+    computes: the slot products and sums are exact integers, the log's
+    argument comes from the shared :func:`_rate_arg` over whole arrays,
+    and the log is ``math.log2`` per entry (``np.log2`` differs from it
+    in the last bit on some arguments).  Index 0 is unused.  The rate is
+    symmetric in (t_i, t_alpha), so only t_i <= t_alpha is computed and
+    the rest is mirrored.  Overflowing products leave inf or nan entries
+    for the caller to reject.
     """
     longest = block_len - m - 1
+    t_i, t_alpha = np.triu_indices(longest)
+    t_i += 1
+    t_alpha += 1
+    prod = (t_i * t_alpha).astype(float)
+    tsum = (t_i + t_alpha).astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        args = np.concatenate([_rate_arg(prod, tsum, power, noise_var, var)
+                               for sides in channel_vars for var in sides])
+    rate = 0.5 * np.fromiter(map(math.log2, args.tolist()), float,
+                             args.size).reshape(m, 2, -1)
     tab = np.zeros((m, 2, longest + 1, longest + 1))
-    for i, sides in enumerate(channel_vars):
-        for side, var in enumerate(sides):
-            for t_i in range(1, longest + 1):
-                for t_alpha in range(t_i, longest + 1):
-                    tab[i, side, t_i, t_alpha] = pairwise_rate(
-                        t_i, t_alpha, power, noise_var, var)
-    below = np.tril_indices(longest + 1, -1)
-    tab[..., below[0], below[1]] = tab[..., below[1], below[0]]
+    tab[..., t_i, t_alpha] = rate
+    tab[..., t_alpha, t_i] = rate
     return tab
 
 
@@ -217,19 +250,21 @@ def optimize_allocation(m: int, block_len: int, power: float,
 
     The exhaustive search validates the inputs once and tabulates the
     pairwise rate of every (relay, side, relay slot, terminal slot) with
-    the scalar :func:`pairwise_rate` (M*(T-M-1)*(T-M) calls, the rate
-    being symmetric in its two slot counts).  It builds the relay slot
-    counts of every relay budget R = T-2, ..., M once (C(T-2, M) columns
-    of narrow integers, descending R).  For Alice's slot count t_A, the
-    allocations (t_A, t_B, t_1..t_M) are, in lexicographic order, the
-    suffix with R <= T-t_A-1 and t_B = T-t_A-R; each suffix is scored in
-    chunks of at most 2048 rows with one flat table lookup per side, one
-    :func:`rates.capacity` call over the relay-major minima and one
-    argmax, so every rate is the float :func:`key_rate` would return.
-    Ties go to the first allocation in lexicographic order.  On a 2-core
-    x86 machine M=4, T=30 (118,755 allocations) takes about 6 ms,
-    T=40 (575,757) about 30 ms and T=68 (9,657,648) about 0.4 s, with
-    tracemalloc peaks of 0.4, 0.7 and 4 MiB.
+    array arithmetic (:func:`_rate_table`, the rate being symmetric in
+    its two slot counts), then checks once that every table entry is
+    finite and >= 0, raising the ``ValueError`` :func:`rates.capacity`
+    raises.  It builds the relay slot counts of every relay budget
+    R = T-2, ..., M once (C(T-2, M) columns of narrow integers,
+    descending R).  For Alice's slot count t_A, the allocations
+    (t_A, t_B, t_1..t_M) are, in lexicographic order, the suffix with
+    R <= T-t_A-1 and t_B = T-t_A-R; each suffix is scored in chunks of
+    at most 2048 rows with one flat table lookup per side, the capacity
+    formula over the relay-major minima and one argmax, so every rate is
+    the float :func:`key_rate` would return.  Ties go to the first
+    allocation in lexicographic order.  On a 2-core x86 machine M=4,
+    T=30 (118,755 allocations) takes about 5 ms, T=40 (575,757) about
+    23 ms and T=68 (9,657,648) about 0.38 s, with tracemalloc peaks of
+    0.4, 0.7 and 4 MiB.
     """
     parts = m + 2
     if block_len < parts:
@@ -244,7 +279,9 @@ def optimize_allocation(m: int, block_len: int, power: float,
         raise BudgetExceeded(
             f"slot allocation of M={m}, T={block_len} has {count:,} "
             f"compositions, over the {_EXHAUSTIVE_LIMIT:,} budget")
-    tab = _rate_table(m, block_len, power, noise_var, config.channel_vars)
+    tab = _rate_table(m, block_len, config.power, config.noise_var,
+                      config.channel_vars)
+    rates._check_finite(tab)  # covers every value a chunk reads
     rel, budget = _relay_compositions(m, block_len)
     stride = tab.shape[-1]
     # flat index of tab[i, 0, 0, 0] per relay; side 1 adds stride**2
@@ -264,7 +301,7 @@ def optimize_allocation(m: int, block_len: int, power: float,
             idx += np.subtract(block_len - 2 * t_a + stride * stride,
                                budget[lo:hi], dtype=np.intp)
             i_g = np.minimum(i_a, flat.take(idx), out=i_a)
-            r_key = rates.capacity(i_g.T) / block_len
+            r_key = rates._capacity(i_g.T) / block_len
             j = int(np.argmax(r_key))
             if r_key[j] > best_rate:
                 best_rate = float(r_key[j])

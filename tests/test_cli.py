@@ -350,6 +350,30 @@ BAD_CONFIGS = {
                                       '"optimize": true, "power": 10.0, '
                                       f'"channel_vars": [[{HUGE}, 1], '
                                       '[1, 1]]}}'),
+    # Finite values whose square overflows a float in the rate formula.
+    "power_grid_square_overflow": ("wireless", '{"wireless": {"m": 2, '
+                                               '"power_grid": [1e200]}}'),
+    "power_square_overflow": ("wireless", '{"wireless": {"m": 2, '
+                                          '"power_grid": [10.0], '
+                                          '"optimize": true, '
+                                          '"power": 1e200}}'),
+    "noise_var_square_overflow": ("wireless", '{"wireless": {"m": 2, '
+                                              '"power_grid": [10.0], '
+                                              '"noise_var": 1e200}}'),
+    "channel_var_square_overflow": ("wireless", '{"wireless": {"m": 2, '
+                                                '"power_grid": [10.0], '
+                                                '"channel_var": 1e200}}'),
+    "channel_vars_square_overflow": ("wireless", '{"wireless": {"m": 2, '
+                                                 '"power_grid": [10.0], '
+                                                 '"optimize": true, '
+                                                 '"power": 10.0, '
+                                                 '"channel_vars": '
+                                                 '[[1e200, 1], [1, 1]]}}'),
+    # The squares fit, but the rates come out infinite.
+    "power_rate_overflow": ("wireless", '{"wireless": {"m": 2, '
+                                        '"power_grid": [10.0], '
+                                        '"optimize": true, '
+                                        '"power": 1e154}}'),
     "pair_mis_huge": ("capacity", '{"capacity": {"pair_mis": '
                                   f'[[{HUGE}, 1], [1, 1]]}}}}'),
     # json reads a float literal past the float range as inf.

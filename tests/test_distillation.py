@@ -84,6 +84,29 @@ class TestBuildCodebook:
         with pytest.raises(ValueError):
             RbCodebook([1, 1], 1, np.array(position))
 
+    @pytest.mark.parametrize("position", [
+        np.array([0.5, 1.2, 2.9, 3.7]),      # read as [0 1 2 3] by a cast
+        np.array([0.0, 1.0, 2.0, 3.0]),
+        np.array([True, False, True, False]),
+        [True, False, 2, 3],                 # read as [1 0 2 3] by a cast
+        [0, 1, 2, 3.0],
+        [0, 1, 2, "3"],
+        np.array([0, 1, 2, 3], dtype=object),
+    ], ids=["float_array", "integral_float_array", "bool_array",
+            "bool_entries", "float_entry", "text_entry", "object_array"])
+    def test_rejects_non_integer_position(self, position):
+        with pytest.raises(ValueError, match="must be integers"):
+            RbCodebook([1, 1], 1, position)
+
+    @pytest.mark.parametrize("position", [
+        [0, 1, 3, 2], [np.int64(0), np.uint8(1), 3, 2],
+        np.array([0, 1, 3, 2], dtype=np.uint8),
+        np.array([0, 1, 3, 2], dtype=np.int32)])
+    def test_accepts_integer_position(self, position):
+        cb = RbCodebook([1, 1], 1, position)
+        assert cb.position.dtype == np.int64
+        assert cb.position.tolist() == [0, 1, 3, 2]
+
     def test_inverse_is_argsort(self):
         for seed, widths in enumerate([[0], [1], [2, 3], [4, 0, 4],
                                        [5, 5, 5, 5]]):

@@ -71,6 +71,29 @@ class TestPairwiseRate:
             assert pairwise_rate(t_i, t_a, p, d, v * 1.01) > base
             assert pairwise_rate(t_i, t_a, p, d * 1.01, v) < base
 
+    @pytest.mark.parametrize("args", [
+        (1, 1, 1e200, 1.0, 1.0), (1, 1, 1.0, 1e200, 1.0),
+        (1, 1, 1.0, 1.0, 1e200), (2, 3, 1.0, 1e160, 1e-3)],
+        ids=["power", "noise_var", "channel_var", "noise_var_small_rate"])
+    def test_square_overflow_raises_value_error(self, args):
+        with pytest.raises(ValueError, match="overflows"):
+            pairwise_rate(*args)
+        with pytest.raises(ValueError, match="overflows"):
+            wireless._rate_table(2, 6, *args[2:4], [(args[4], 1.0)] * 2)
+
+    def test_square_overflow_in_every_entry_point(self):
+        with pytest.raises(ValueError, match="overflows"):
+            multiplexing_gain_sweep(2, [1e200])
+        with pytest.raises(ValueError, match="overflows"):
+            optimize_allocation(2, 8, 1e200, 1.0, [(1, 1), (1, 1)])
+        with pytest.raises(ValueError, match="overflows"):
+            optimize_allocation(2, 8, 1.0, 1.0, [(1, 1), (1e200, 1)])
+        cfg = uniform_config(2, noise_var=1e200)
+        with pytest.raises(ValueError, match="overflows"):
+            key_rate(cfg)
+        with pytest.raises(ValueError, match="overflows"):
+            mc_estimate_check(cfg, 0, 100_000)
+
 
 class TestConfigValidation:
     def test_allocation_must_sum(self):
@@ -133,6 +156,15 @@ class TestConfigValidation:
         assert all(type(v) is float for pair in cfg.channel_vars
                    for v in pair)
         assert all(type(t) is int for t in cfg.allocation)
+
+    def test_scalars_normalized(self):
+        cfg = WirelessConfig(m=np.int64(2), power=3, noise_var=np.float32(2),
+                             channel_vars=[(1, 1), (1, 1)],
+                             block_len=np.int32(8), allocation=(2, 2, 2, 2))
+        assert (cfg.m, cfg.block_len, cfg.power, cfg.noise_var) == \
+            (2, 8, 3.0, 2.0)
+        assert (type(cfg.m), type(cfg.block_len), type(cfg.power),
+                type(cfg.noise_var)) == (int, int, float, float)
 
 
 class TestKeyRate:
@@ -220,6 +252,41 @@ class TestOptimizeAllocation:
                         full[i, side, t_i, t_alpha] = pairwise_rate(
                             t_i, t_alpha, power, noise_var, var)
         assert (tab == full).all()
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_rate_table_equals_scalar_rate(self, case):
+        # Every entry, both triangles and the unused index 0 included, is
+        # the float the scalar formula returns.
+        rng = np.random.Generator(np.random.PCG64(2000 + case))
+        m = int(rng.integers(2, 6))
+        block_len = int(rng.integers(m + 2, 41))
+        power = float(10.0 ** rng.uniform(-9, 9))
+        noise_var = float(10.0 ** rng.uniform(-1, 1))
+        channel_vars = [(float(10.0 ** rng.uniform(-3, 3)),
+                         float(10.0 ** rng.uniform(-3, 3)))
+                        for _ in range(m)]
+        tab = wireless._rate_table(m, block_len, power, noise_var,
+                                   channel_vars)
+        longest = block_len - m - 1
+        assert tab.shape == (m, 2, longest + 1, longest + 1)
+        assert (tab[..., 0, :] == 0).all() and (tab[..., :, 0] == 0).all()
+        for i, sides in enumerate(channel_vars):
+            for side, var in enumerate(sides):
+                want = [[pairwise_rate(t_i, t_alpha, power, noise_var, var)
+                         for t_alpha in range(1, longest + 1)]
+                        for t_i in range(1, longest + 1)]
+                assert tab[i, side, 1:, 1:].tolist() == want
+
+    def test_overflowing_rates_raise_before_scoring(self, monkeypatch):
+        # P=1e154 squares to a finite 1e308, but the rates overflow to
+        # inf; the one check of the finished table raises before the
+        # relay compositions are built.
+        def forbidden(*args):
+            raise AssertionError("scoring started on a non-finite table")
+
+        monkeypatch.setattr(wireless, "_relay_compositions", forbidden)
+        with pytest.raises(ValueError, match="finite and >= 0: inf"):
+            optimize_allocation(2, 8, 1e154, 1.0, [(1, 1), (1, 1)])
 
     @pytest.mark.parametrize("case", range(30))
     def test_matches_reference_search(self, case):
