@@ -8,11 +8,17 @@ import numpy as np
 
 
 def as_bits(x) -> np.ndarray:
-    """Coerce to a flat uint8 array of 0/1 values."""
-    arr = np.asarray(x, dtype=np.uint8).ravel()
-    if arr.size and arr.max() > 1:
+    """A bool or integer array or sequence of 0/1 values as a flat uint8
+    array; a float, string or object input, or any value other than 0 or
+    1, raises ``ValueError``.  A bool array is never scanned."""
+    arr = np.asarray(x)
+    kind = arr.dtype.kind if arr.size else "b"
+    if kind not in "biu":
+        raise ValueError(f"bit vector must be bool or integer, "
+                         f"got dtype {arr.dtype}")
+    if kind in "iu" and (arr.max() > 1 or kind == "i" and arr.min() < 0):
         raise ValueError("bit vector contains values other than 0/1")
-    return arr
+    return arr.astype(np.uint8, copy=False).ravel()
 
 
 def bits_to_int(bits) -> int:

@@ -7,19 +7,24 @@ explicitly (forward and inverse arrays) so downstream information
 measures are exact.  The scatter that builds the inverse also checks, in
 linear time, that the forward array is a permutation.  Enumeration is
 capped at 2^24 codewords.
+
+Widths and the key length are checked once, by the rule both
+:func:`build_codebook` and :class:`RbCodebook` apply: integers, widths
+>= 0 and ``key_bits`` in [0, sum of widths].  The message space is laid
+out row-major over ``RbCodebook.shape``, the first message most
+significant; messages and key indices must be integers.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .bitops import as_bits
-from .errors import BudgetExceeded, as_number
+from .errors import BudgetExceeded, as_number, as_numbers
 
 ENUM_BUDGET_BITS = 24
 
@@ -32,46 +37,50 @@ class KeyIndex:
     k_tilde: int
 
 
+def _widths(message_bits: Sequence[int],
+            key_bits: int) -> Tuple[List[int], int]:
+    """Message widths and key length as ints; a width below 0 or a key
+    length outside [0, sum of widths] raises ``ValueError``."""
+    bits = [as_number(int, b, "message width") for b in message_bits]
+    key_bits = as_number(int, key_bits, "key_bits")
+    if any(b < 0 for b in bits):
+        raise ValueError("per-message bit widths must be >= 0")
+    if not 0 <= key_bits <= sum(bits):
+        raise ValueError(f"key_bits={key_bits} outside [0, {sum(bits)}], "
+                         f"the bits of the message space")
+    return bits, key_bits
+
+
 class RbCodebook:
     """Equal-size random partition of the message product space.
 
-    ``message_bits[i]`` is the bit width of relay i's common message.
-    ``position[w]`` is the shuffled position of flat codeword index w;
-    bin index = position >> bin_bits, within-bin index = the low bits.
-    ``inverse`` is the inverse permutation; ``position`` is int64 and
-    ``inverse`` int32, which holds any index under the 2^24 budget.
+    ``message_bits[i]`` is the bit width of relay i's common message, and
+    ``shape`` the message space, ``2**message_bits[i]`` values per axis,
+    in row-major order.  ``position[w]`` is the shuffled position of flat
+    codeword index w; bin index = position >> bin_bits, within-bin index
+    = the low bits.  ``inverse`` is the inverse permutation; ``position``
+    is int64 and ``inverse`` int32, which holds any index under the 2^24
+    budget.
 
     ``position`` is validated in linear time: every entry must lie in
     [0, 2^total_bits), and the scatter ``inverse[position] = arange`` into
     an array filled with -1 must hit every slot.  That many in-range
     values hitting every slot are a permutation, by pigeonhole; anything
-    else raises ``ValueError``.  The widths, ``key_bits`` and the
-    ``position`` entries must be integers: a boolean or a float (entry or
-    array dtype) raises ``ValueError``.
+    else raises ``ValueError``.  The ``position`` entries must be
+    integers (:func:`errors.as_numbers`).
 
     ``key_of_all`` (the bin index of every codeword) is built on first
     use, so codebooks that are never audited never pay for it.
     """
 
     def __init__(self, message_bits: Sequence[int], key_bits: int,
-                 position: np.ndarray, seed: int | None = None):
-        self.message_bits = [as_number(int, b, "message width")
-                             for b in message_bits]
-        self.key_bits = as_number(int, key_bits, "key_bits")
-        self.seed = seed
+                 position: np.ndarray):
+        self.message_bits, self.key_bits = _widths(message_bits, key_bits)
+        self.shape = tuple(1 << b for b in self.message_bits)
         self.total_bits = sum(self.message_bits)
         self.bin_bits = self.total_bits - self.key_bits
-        if self.key_bits < 0 or self.bin_bits < 0:
-            raise ValueError("key_bits must lie in [0, sum(message_bits)]")
         total = 1 << self.total_bits
-        if isinstance(position, np.ndarray):
-            ok = position.dtype.kind in "iu"  # O(1) for an int64 array
-        else:
-            ok = all(isinstance(w, numbers.Integral)
-                     and not isinstance(w, bool) for w in position)
-        if not ok:
-            raise ValueError("position entries must be integers")
-        pos = np.asarray(position, dtype=np.int64)
+        pos = as_numbers(int, position, "position entries")
         # total in-range values that hit every slot are a permutation.  A
         # negative entry reads as a huge unsigned value, so one max checks
         # both ends of the range.
@@ -104,51 +113,26 @@ class RbCodebook:
         return key
 
     def flat_index(self, messages: Sequence[int]) -> int:
-        """Row-major flat index of one message tuple."""
-        if len(messages) != len(self.message_bits):
-            raise ValueError("wrong number of messages")
-        flat = 0
-        for w, b in zip(messages, self.message_bits):
-            w = int(w)
-            if not 0 <= w < (1 << b):
-                raise ValueError(f"message {w} outside its {b}-bit space")
-            flat = (flat << b) | w
-        return flat
+        """Row-major flat index of one tuple of integer messages; a tuple
+        outside ``shape`` raises ``ValueError``."""
+        return int(np.ravel_multi_index(
+            tuple(as_numbers(int, messages, "messages")), self.shape))
 
     def messages_from_flat(self, flat: int) -> Tuple[int, ...]:
-        out = []
-        for b in reversed(self.message_bits):
-            out.append(flat & ((1 << b) - 1))
-            flat >>= b
-        return tuple(reversed(out))
-
-    def to_dict(self) -> dict:
-        """JSON-ready dump of the full assignment, for golden tests."""
-        return {
-            "message_bits": self.message_bits,
-            "key_bits": self.key_bits,
-            "seed": self.seed,
-            "position": self.position.tolist(),
-        }
+        return tuple(int(w) for w in np.unravel_index(flat, self.shape))
 
 
 def build_codebook(rates_bits: Sequence[int], key_bits: int,
                    seed: int) -> RbCodebook:
     """Seeded uniform equal-size partition of the message product space."""
-    rates_bits = [as_number(int, b, "message width") for b in rates_bits]
-    key_bits = as_number(int, key_bits, "key_bits")
-    if any(b < 0 for b in rates_bits):
-        raise ValueError("per-message bit widths must be >= 0")
+    rates_bits, key_bits = _widths(rates_bits, key_bits)
     total_bits = sum(rates_bits)
-    if key_bits > total_bits:
-        raise ValueError(f"key_bits={key_bits} exceeds the "
-                         f"{total_bits}-bit message space")
     if total_bits > ENUM_BUDGET_BITS:
         raise BudgetExceeded(f"message space of 2^{total_bits} codewords "
                              f"exceeds the 2^{ENUM_BUDGET_BITS} budget")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     position = rng.permutation(1 << total_bits).astype(np.int64, copy=False)
-    return RbCodebook(rates_bits, key_bits, position, seed=seed)
+    return RbCodebook(rates_bits, key_bits, position)
 
 
 def distill(codebook: RbCodebook, common_messages: Sequence[int]) -> KeyIndex:
@@ -160,11 +144,13 @@ def distill(codebook: RbCodebook, common_messages: Sequence[int]) -> KeyIndex:
 
 def invert(codebook: RbCodebook, index: KeyIndex) -> Tuple[int, ...]:
     """Inverse of :func:`distill`: index pair back to the message tuple."""
-    if not 0 <= index.k < codebook.num_bins:
-        raise ValueError(f"bin index out of range: {index.k}")
-    if not 0 <= index.k_tilde < codebook.bin_size:
-        raise ValueError(f"within-bin index out of range: {index.k_tilde}")
-    pos = (index.k << codebook.bin_bits) | index.k_tilde
+    k = as_number(int, index.k, "bin index")
+    k_tilde = as_number(int, index.k_tilde, "within-bin index")
+    if not 0 <= k < codebook.num_bins:
+        raise ValueError(f"bin index out of range: {k}")
+    if not 0 <= k_tilde < codebook.bin_size:
+        raise ValueError(f"within-bin index out of range: {k_tilde}")
+    pos = (k << codebook.bin_bits) | k_tilde
     return codebook.messages_from_flat(int(codebook.inverse[pos]))
 
 

@@ -188,15 +188,14 @@ def leakage_audit(codebook: RbCodebook, relay: int) -> LeakageAudit:
     if not 0 <= relay < len(codebook.message_bits):
         raise ValueError(f"relay index out of range: {relay}")
     total = 1 << codebook.total_bits
-    b_m = codebook.message_bits[relay]
-    shift = sum(codebook.message_bits[relay + 1:])
-    cells = 1 << (b_m + codebook.key_bits)
+    shape = codebook.shape
+    cells = shape[relay] << codebook.key_bits
     if cells > _TABLE_BUDGET:
         raise BudgetExceeded(f"(K, W_m) table of {cells} entries exceeds "
                              f"the 2^24 budget")
     counts = _wm_major_counts(
-        codebook_key_of_all(codebook), total >> (b_m + shift), 1 << b_m,
-        1 << shift, codebook.key_bits)
+        codebook_key_of_all(codebook), math.prod(shape[:relay]),
+        shape[relay], math.prod(shape[relay + 1:]), codebook.key_bits)
     h_key = entropy_bits(counts.sum(axis=0) / total)
     h_wm_counted = entropy_bits(counts.sum(axis=1) / total)
     # The nonzero counts in (K, W_m) C order, the order the float pmf
@@ -207,7 +206,7 @@ def leakage_audit(codebook: RbCodebook, relay: int) -> LeakageAudit:
     h_joint, h_all_given_wm_key = _entropy_terms(nz, total)
     mi = _clamped_mi(h_key + h_wm_counted - h_joint)
 
-    h_wm = float(b_m)
+    h_wm = float(codebook.message_bits[relay])
     h_all_given_key = float(codebook.bin_bits)
     residual = abs(mi - (h_wm - h_all_given_key + h_all_given_wm_key))
     return LeakageAudit(relay=relay, mi_bits=mi, h_wm=h_wm,
@@ -227,30 +226,14 @@ class MiEstimate:
     unreliable: bool
 
 
-def _plugin_mi(codes: np.ndarray, k_x: int, k_y: int) -> float:
-    n = codes.size
-    joint = np.bincount(codes, minlength=k_x * k_y).astype(float)
-    joint_p = joint / n
-    x_p = joint_p.reshape(k_x, k_y).sum(axis=1)
-    y_p = joint_p.reshape(k_x, k_y).sum(axis=0)
-
-    def h_mm(p, counts_nonzero):
-        # Miller-Madow: plug-in entropy plus (support - 1) / (2 n ln 2).
-        return entropy_bits(p) + (counts_nonzero - 1) / (2.0 * n * math.log(2))
-
-    h_x = h_mm(x_p, int(np.count_nonzero(x_p)))
-    h_y = h_mm(y_p, int(np.count_nonzero(y_p)))
-    h_xy = h_mm(joint_p, int(np.count_nonzero(joint_p)))
-    return h_x + h_y - h_xy
-
-
 def _plugin_mi_rows(joint: np.ndarray, k_x: int, k_y: int) -> np.ndarray:
-    """:func:`_plugin_mi` of every row of a (rows, k_x*k_y) count array,
-    equal up to the order of the entropy sums."""
+    """Miller-Madow MI estimate of every row of a (rows, k_x*k_y) array of
+    joint counts, each row over the same number n of samples."""
     n = joint[0].sum()
     joint_p = (joint / n).reshape(-1, k_x, k_y)
 
     def h_mm(p):
+        # Miller-Madow: plug-in entropy plus (support - 1) / (2 n ln 2).
         logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
         support = np.count_nonzero(p, axis=-1)
         return -(p * logs).sum(axis=-1) + (support - 1) / (2.0 * n
@@ -279,12 +262,12 @@ def empirical_mi(x: Sequence[int], y: Sequence[int],
         raise ValueError("need at least one bootstrap resample")
     k_x = int(x.max()) + 1
     k_y = int(y.max()) + 1
-    codes = x * k_y + y
-    point = _plugin_mi(codes, k_x, k_y)
+    counts = np.bincount(x * k_y + y, minlength=k_x * k_y)
+    point = _plugin_mi_rows(counts[None], k_x, k_y)[0]
 
     # A resample of the n pairs is a multinomial draw of the joint counts.
     rng = np.random.Generator(np.random.PCG64(seed))
-    joint_p = np.bincount(codes, minlength=k_x * k_y) / x.size
+    joint_p = counts / x.size
     rows = max(1, _BOOTSTRAP_CELLS // joint_p.size)
     boots = np.concatenate([
         _plugin_mi_rows(rng.multinomial(x.size, joint_p,

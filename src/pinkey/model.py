@@ -114,6 +114,7 @@ class PinInstance:
     params: ProtocolParams = field(default_factory=lambda: ProtocolParams(n=1))
 
     def __post_init__(self):
+        object.__setattr__(self, "m", as_number(int, self.m, "relay count"))
         object.__setattr__(self, "pairs", tuple(self.pairs))
         if self.m < 2:
             raise ValueError("the model requires at least two relays")

@@ -32,7 +32,9 @@ class PipelineResult:
 
 def key_bits_for(message_bits: List[int], epsilon_bits: int) -> int:
     """Key length: sum of the M-1 smallest message widths minus the
-    withheld slack bits, floored at zero."""
+    withheld slack bits (>= 0), floored at zero."""
+    if epsilon_bits < 0:
+        raise ValueError(f"epsilon_bits must be >= 0: {epsilon_bits}")
     return max(sum(sorted(message_bits)[:-1]) - epsilon_bits, 0)
 
 

@@ -32,7 +32,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .bitops import as_bits, bits_to_hex
-from .errors import InvariantViolation, ReconciliationFailure
+from .errors import InvariantViolation, ReconciliationFailure, as_number
 from .model import MODE_IDEAL, PinInstance, SourceRealization, binary_entropy
 
 SENDER_ALICE = "alice"
@@ -75,6 +75,7 @@ class Transcript:
     """
 
     def __init__(self, num_relays: int):
+        num_relays = as_number(int, num_relays, "relay count")
         if num_relays < 2:
             raise ValueError("at least two relays are required")
         self.num_relays = num_relays
@@ -180,8 +181,12 @@ def reconcile_pair(seq_terminal, seq_relay,
     a parity mismatch after correction discards the block, and
     ``kept_mask`` says which blocks survive.  Both sides keep the 4
     information positions of each surviving block and compress them
-    through the fixed public hash.
+    through the fixed public hash.  ``crossover`` must lie in [0, 0.5],
+    the range :class:`model.PairSource` allows.
     """
+    crossover = as_number(float, crossover, "crossover")
+    if not 0.0 <= crossover <= 0.5:
+        raise ValueError(f"crossover must lie in [0, 0.5]: {crossover}")
     term = as_bits(seq_terminal)
     relay = as_bits(seq_relay)
     if term.size != relay.size:

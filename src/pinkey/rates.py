@@ -9,32 +9,20 @@ one total and agree exactly.  ``xor_baseline_rate`` pairs relays in
 listed order and sums pairwise minima.
 
 Inputs are M values or M (Alice-side, Bob-side) MI pairs, as a sequence
-of ints and floats or an integer or float array; anything else raises
-``ValueError``.
+of ints and floats or an integer or float array, read by
+:func:`errors.as_numbers`; anything else raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, asdict
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
+from .errors import as_numbers
+
 PairMis = Sequence[Tuple[float, float]]
-
-
-def _reals(values) -> np.ndarray:
-    """``values`` as a float array, from ints and floats only."""
-    if isinstance(values, np.ndarray):
-        ok = values.dtype.kind in "iuf"
-    else:
-        values = np.array(values, dtype=object)
-        ok = not any(isinstance(v, bool) or not isinstance(v, numbers.Real)
-                     for v in values.flat)
-    if not ok:
-        raise ValueError("rate inputs must be ints and floats")
-    return values.astype(float, copy=False)
 
 
 def _check_finite(vals: np.ndarray) -> None:
@@ -47,7 +35,7 @@ def _check_finite(vals: np.ndarray) -> None:
 
 def _validated(i_values) -> np.ndarray:
     """Per-relay values as a float array of shape (..., M), M >= 2."""
-    vals = _reals(i_values)
+    vals = as_numbers(float, i_values, "rate inputs")
     if vals.ndim == 0 or vals.shape[-1] < 2:
         raise ValueError("at least two relays are required")
     _check_finite(vals)
@@ -114,7 +102,7 @@ def converse_bound(source) -> ConverseResult:
     One instance gives a float bound and a list of M cuts; an array
     gives arrays of shape (...) and (..., M).
     """
-    pairs = _reals(source)
+    pairs = as_numbers(float, source, "rate inputs")
     if pairs.ndim < 2 or pairs.shape[-1] != 2:
         raise ValueError("pair MIs must have shape (..., M, 2)")
     i_vals = _validated(np.minimum(pairs[..., 0], pairs[..., 1]))
@@ -144,7 +132,7 @@ class RateReport:
 def rate_report(pair_mis: PairMis) -> RateReport:
     """Every closed-form rate of one instance, given as M (Alice-side,
     Bob-side) MI pairs."""
-    pairs = _reals(pair_mis)
+    pairs = as_numbers(float, pair_mis, "rate inputs")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("pair MIs must have shape (M, 2)")
     i_vals = [min(a, b) for a, b in pairs.tolist()]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pinkey.bitops import bits_to_int, int_to_bits
+from pinkey.bitops import as_bits, bits_to_int, int_to_bits
 
 WIDTHS = [0, 1, 7, 8, 9, 63, 64, 65, 1000]
 
@@ -63,3 +63,31 @@ def test_int_to_bits_rejects_out_of_range(value, width):
 def test_bits_to_int_rejects_non_bits():
     with pytest.raises(ValueError):
         bits_to_int([0, 2, 1])
+
+
+@pytest.mark.parametrize("bits", [
+    [0.5, 1.7], [0.0, 1.0], np.array([0.9]), ["1", "0"], np.array(["1"]),
+    np.array([0, 1], dtype=object), [-1], np.array([1, -1]), [0, 2],
+    np.array([1, 256], dtype=np.int64), [1 << 70]],
+    ids=["floats", "integral_floats", "float_array", "strings",
+         "string_array", "object_array", "negative", "negative_array",
+         "two", "wraps_to_zero", "huge"])
+def test_as_bits_rejects_non_bits(bits):
+    # A uint8 cast would read most of these as bits.
+    with pytest.raises(ValueError):
+        as_bits(bits)
+
+
+@pytest.mark.parametrize("bits,expected", [
+    ([1, 0, 1], [1, 0, 1]), ([True, False], [1, 0]),
+    (np.array([True, False]), [1, 0]), (np.array([[1], [0]]), [1, 0]),
+    (np.array([0, 1], dtype=np.int8), [0, 1]),
+    (np.array([1, 1], dtype=np.uint64), [1, 1]), (1, [1]), ([], [])])
+def test_as_bits_accepts_bool_and_integer_input(bits, expected):
+    arr = as_bits(bits)
+    assert arr.dtype == np.uint8 and arr.tolist() == expected
+
+
+def test_as_bits_does_not_copy_a_uint8_array():
+    bits = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    assert np.shares_memory(as_bits(bits), bits)

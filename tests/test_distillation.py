@@ -161,12 +161,56 @@ class TestDistill:
         with pytest.raises(ValueError):
             invert(cb, KeyIndex(k=2, k_tilde=0))
 
-    def test_export_round_trips(self):
-        cb = build_codebook([2, 1], 2, seed=4)
-        doc = cb.to_dict()
-        clone = RbCodebook(doc["message_bits"], doc["key_bits"],
-                           np.array(doc["position"]), seed=doc["seed"])
-        np.testing.assert_array_equal(clone.position, cb.position)
+    @pytest.mark.parametrize("messages", [(1.7, 0), ("1", 0), (True, 0),
+                                          (1.0, 0), (0, None)])
+    def test_rejects_non_integer_message(self, messages):
+        # A cast would read each of these as message 1 or 0.
+        cb = build_codebook([1, 1], 1, seed=0)
+        with pytest.raises(ValueError):
+            distill(cb, messages)
+
+    def test_accepts_numpy_integer_messages(self):
+        cb = build_codebook([2, 3], 2, seed=6)
+        assert (distill(cb, (np.int64(3), np.uint8(5)))
+                == distill(cb, (3, 5)))
+
+    @pytest.mark.parametrize("index", [KeyIndex(1.5, 0), KeyIndex(1.0, 0),
+                                       KeyIndex(0, 0.5), KeyIndex(True, 0),
+                                       KeyIndex("1", 0)])
+    def test_invert_rejects_non_integer_index(self, index):
+        cb = build_codebook([1, 1], 1, seed=0)
+        with pytest.raises(ValueError):
+            invert(cb, index)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("widths", [[0], [1], [2, 3], [4, 0, 4],
+                                        [1, 2, 3, 1]])
+    def test_flat_index_is_concatenated_bits(self, widths):
+        # Row-major over shape: the flat index is the messages' bits
+        # written one after another, the first message most significant.
+        cb = build_codebook(widths, 0, seed=0)
+        assert cb.shape == tuple(2 ** b for b in widths)
+        for msgs in itertools.product(*(range(2 ** b) for b in widths)):
+            text = "".join(format(w, f"0{b}b") if b else ""
+                           for w, b in zip(msgs, widths))
+            flat = int(text or "0", 2)
+            assert cb.flat_index(msgs) == flat
+            assert cb.messages_from_flat(flat) == msgs
+            assert all(type(w) is int for w in cb.messages_from_flat(flat))
+
+    def test_rejects_negative_width(self):
+        # Widths [3, -1] add up to a 2-bit space of 4 codewords; such a
+        # codebook would then fail in distill with a negative shift.
+        with pytest.raises(ValueError, match=">= 0"):
+            RbCodebook([3, -1], 1, np.arange(4))
+
+    def test_width_check_precedes_budget(self):
+        # A bad width or key length is a ValueError even past the budget.
+        with pytest.raises(ValueError):
+            build_codebook([20, 20, -1], 1, seed=0)
+        with pytest.raises(ValueError):
+            build_codebook([13, 13], 27, seed=0)
 
 
 class TestXorDistill:

@@ -334,23 +334,36 @@ class TestEmpiricalMi:
         with pytest.raises(ValueError):
             empirical_mi([0, 1] * 600, [0, 1] * 600, bootstrap=0)
 
+    @staticmethod
+    def _miller_madow_oracle(joint, k_x, k_y):
+        # Exact MI of the empirical pmf plus the Miller-Madow term
+        # (S_x + S_y - S_xy - 1) / (2 n ln 2), S the supports.
+        n = joint.sum()
+        pmf = JointPmf(joint.reshape(k_x, k_y) / n)
+        supports = (np.count_nonzero(pmf.marginal([0]))
+                    + np.count_nonzero(pmf.marginal([1]))
+                    - np.count_nonzero(pmf.table) - 1)
+        return (exact_mi(pmf, [0], [1])
+                + supports / (2.0 * n * math.log(2)))
+
     def test_rowwise_mi_matches_plugin(self):
-        # Each row of joint counts, expanded back into samples, gives the
-        # per-sample Miller-Madow estimate up to summation order.
+        # Every row of joint counts gives the exact MI of its empirical
+        # pmf plus the Miller-Madow correction.
         rng = np.random.Generator(np.random.PCG64(8))
         k_x, k_y, n = 3, 5, 2000
         joint = rng.multinomial(n, rng.dirichlet([0.3] * (k_x * k_y)),
                                 size=40)
         got = infotools._plugin_mi_rows(joint, k_x, k_y)
         for row, mi in zip(joint, got):
-            codes = np.repeat(np.arange(k_x * k_y), row)
             assert mi == pytest.approx(
-                infotools._plugin_mi(codes, k_x, k_y), abs=1e-12)
+                self._miller_madow_oracle(row, k_x, k_y), abs=1e-12)
 
     def test_point_estimate_is_plugin_of_samples(self):
         rng = np.random.Generator(np.random.PCG64(9))
         x = rng.integers(0, 3, 5000)
         y = (x + (rng.random(5000) < 0.2)) % 3
         est = empirical_mi(x, y, bootstrap=50, seed=2)
-        assert est.mi_bits == infotools._plugin_mi(x * 3 + y, 3, 3)
+        joint = np.bincount(x * 3 + y, minlength=9)
+        assert est.mi_bits == pytest.approx(
+            self._miller_madow_oracle(joint, 3, 3), abs=1e-12)
         assert est.ci_low <= est.mi_bits <= est.ci_high

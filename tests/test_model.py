@@ -78,6 +78,16 @@ class TestInstanceValidation:
             PinInstance(m=3, pairs=[PairSource.ideal_common(1, 1)] * 2,
                         params=ProtocolParams(n=1))
 
+    @pytest.mark.parametrize("m", [2.0, True, "2", None])
+    def test_rejects_non_integer_relay_count(self, m):
+        with pytest.raises(ValueError):
+            PinInstance(m=m, pairs=[PairSource.ideal_common(1, 1)] * 2)
+
+    def test_accepts_numpy_integer_relay_count(self):
+        inst = PinInstance(m=np.int64(2),
+                           pairs=[PairSource.ideal_common(1, 1)] * 2)
+        assert type(inst.m) is int and inst.m == 2
+
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             ProtocolParams(n=0)

@@ -30,6 +30,14 @@ def test_ideal_run_audits_every_relay():
     assert all(a.mi_bits >= 0.0 for a in res.leakage)
 
 
+def test_key_bits_for_rejects_negative_slack():
+    # -2 slack bits would give 5 key bits from the 3 bits of the M-1
+    # smallest widths.
+    assert pipeline.key_bits_for([3, 3], 0) == 3
+    with pytest.raises(ValueError):
+        pipeline.key_bits_for([3, 3], -2)
+
+
 def test_truncation_keeps_proportional_prefixes():
     # Common messages of 12, 20 and 8 bits: 40 bits, twice the budget.
     inst = ideal_instance([(3, 4), (5, 5), (2, 9)], n=4)

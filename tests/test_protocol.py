@@ -57,6 +57,18 @@ class TestTranscript:
         assert indices == [1, 3, 4, 5, 6]
         assert t.schedule_ok()
 
+    @pytest.mark.parametrize("m", [2.0, True, "3"])
+    def test_rejects_non_integer_relay_count(self, m):
+        with pytest.raises(ValueError):
+            Transcript(m)
+
+    def test_rejects_non_bit_payload(self):
+        # A uint8 cast would log [0.7, 1.2] as the payload bits 01.
+        t = Transcript(2)
+        with pytest.raises(ValueError):
+            t.append(relay_sender(0), [0.7, 1.2])
+        assert t.rounds == []
+
     def test_indices_strictly_increase(self):
         t = Transcript(2)
         for _ in range(5):
@@ -235,6 +247,12 @@ class TestReconcilePair:
         res = reconcile_pair(seq, seq, 0.11)
         assert res.dropped_bits == 4
         assert res.key_terminal.size == 12
+
+    @pytest.mark.parametrize("crossover", [0.7, 0.5000001, -0.1,
+                                           float("nan"), "0.1", True])
+    def test_rejects_crossover_outside_pair_source_range(self, crossover):
+        with pytest.raises(ValueError):
+            reconcile_pair([0] * 7, [0] * 7, crossover)
 
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
