@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .distillation import RbCodebook
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import (BudgetExceeded, InvariantViolation, as_number,
+                     as_numbers)
 
 _TABLE_BUDGET = 1 << 24
 _NEG_CLAMP = 1e-9
@@ -185,6 +186,7 @@ def leakage_audit(codebook: RbCodebook, relay: int) -> LeakageAudit:
     The (K, W_m) table is checked against the 2^24 budget before it is
     allocated.
     """
+    relay = as_number(int, relay, "relay index")
     if not 0 <= relay < len(codebook.message_bits):
         raise ValueError(f"relay index out of range: {relay}")
     total = 1 << codebook.total_bits
@@ -250,10 +252,12 @@ def empirical_mi(x: Sequence[int], y: Sequence[int],
 
     Plug-in estimator on empirical joint counts with Miller-Madow bias
     correction; percentile bootstrap CI.  The result is flagged unreliable
-    when the joint alphabet exceeds a tenth of the sample count.
+    when the joint alphabet exceeds a tenth of the sample count.  Samples
+    must be integers (an integer array or a sequence of ints): float, bool
+    or string samples raise ``ValueError``.
     """
-    x = np.asarray(x, dtype=np.int64).ravel()
-    y = np.asarray(y, dtype=np.int64).ravel()
+    x = as_numbers(int, x, "samples").ravel()
+    y = as_numbers(int, y, "samples").ravel()
     if x.size != y.size:
         raise ValueError("paired sample arrays must have equal length")
     if x.size < 1000:

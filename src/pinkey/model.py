@@ -33,7 +33,9 @@ _SIDE_B = 1
 
 
 def binary_entropy(p: float) -> float:
-    """Entropy in bits of a Bernoulli(p) variable."""
+    """Entropy in bits of a Bernoulli(p) variable; ``p`` must be a real
+    number in [0, 1] (a bool or a string raises ``ValueError``)."""
+    p = as_number(float, p, "probability")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
     if p == 0.0 or p == 1.0:

@@ -7,6 +7,7 @@ from typing import List, Optional
 
 from . import distillation, infotools, model, protocol
 from .bitops import bits_to_int
+from .errors import as_number
 from .model import MODE_IDEAL, PinInstance
 from .protocol import PairwiseKeys, Transcript
 
@@ -32,7 +33,10 @@ class PipelineResult:
 
 def key_bits_for(message_bits: List[int], epsilon_bits: int) -> int:
     """Key length: sum of the M-1 smallest message widths minus the
-    withheld slack bits (>= 0), floored at zero."""
+    withheld slack bits (>= 0), floored at zero.  Widths and slack must
+    be integers: a float, a bool or a string raises ``ValueError``."""
+    message_bits = [as_number(int, b, "message width") for b in message_bits]
+    epsilon_bits = as_number(int, epsilon_bits, "epsilon_bits")
     if epsilon_bits < 0:
         raise ValueError(f"epsilon_bits must be >= 0: {epsilon_bits}")
     return max(sum(sorted(message_bits)[:-1]) - epsilon_bits, 0)

@@ -91,68 +91,74 @@ def uniform_config(m: int, slot: int = 2, power: float = 1.0,
                           allocation=[slot] * (m + 2))
 
 
-def _rate_arg(prod, tsum, power: float, noise_var: float,
-              channel_var: float):
-    """1 + prod*P^2*v^2 / (d^2 + tsum*d*v*P), the argument of the pairwise
-    rate's log, for slot product ``prod`` and slot sum ``tsum`` (numbers
-    or float arrays), v the channel and d the noise variance.
+def _rates(t_i, t_alpha, power: float, noise_var: float,
+           variances) -> np.ndarray:
+    """Pairwise key rates 0.5*log2(1 + Ti*Ta*P^2*v^2 / (d^2 + (Ti+Ta)*d*v*P))
+    in bits per fading block for integer slot counts ``t_i``, ``t_alpha``
+    and channel variances v, broadcast together; d is the noise variance.
 
-    The squares are Python scalars and the rest runs left to right in
-    this one order, so an array of exact integer products and sums gets,
-    entry by entry, the float a scalar call gets.  A square that
-    overflows a float raises ``ValueError``.
+    The one evaluation of the formula: the squares are Python floats, the
+    rest runs left to right and the log is ``math.log2`` per entry, so
+    every entry is the float the scalar formula gives.  A square that
+    overflows, or a rate that is not finite, raises ``ValueError``.
     """
+    var = np.asarray(variances, dtype=float)
     try:
-        squares = power ** 2, channel_var ** 2, noise_var ** 2
+        p2, n2 = float(power) ** 2, float(noise_var) ** 2
+        v2 = np.array([v ** 2 for v in var.ravel().tolist()]).reshape(
+            var.shape)
     except OverflowError:
-        squares = (math.inf,)
-    if math.isinf(max(squares)):
         raise ValueError("rate inputs must be finite: the square of the "
-                         "power, a channel or the noise variance overflows")
-    p2, v2, n2 = squares
-    num = prod * p2 * v2
-    den = n2 + tsum * noise_var * channel_var * power
-    return 1.0 + num / den
+                         "power, a channel or the noise variance "
+                         "overflows") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        # float slot products cannot wrap as int64 ones can, and for
+        # slots below 2**53 they are the exact products rounded once
+        num = np.multiply(t_i, t_alpha, dtype=float) * p2 * v2
+        den = n2 + np.add(t_i, t_alpha, dtype=float) * noise_var * var * power
+        args = 1.0 + num / den
+    rate = 0.5 * np.fromiter(map(math.log2, args.ravel().tolist()), float,
+                             args.size)
+    rates._check_finite(rate)
+    return rate.reshape(args.shape)
 
 
 def pairwise_rate(t_i: int, t_alpha: int, power: float, noise_var: float,
                   channel_var: float) -> float:
-    """Closed-form pairwise key rate in bits per fading block.
+    """Closed-form pairwise key rate in bits per fading block (the Gaussian
+    MI between the two MMSE channel estimates), computed by :func:`_rates`.
 
-    Equals 0.5*log2(1 + Ti*Ta*P^2*v^2 / (d^2 + (Ti+Ta)*d*v*P)) with v the
-    channel variance and d the noise variance, i.e. the Gaussian MI
-    between the two MMSE channel estimates.
+    Slot counts must be integers >= 1, the rest real, finite and > 0; a
+    bool, a string, a fractional slot, NaN or inf raises ``ValueError``.
     """
-    if t_i <= 0 or t_alpha <= 0 or power <= 0 or noise_var <= 0 \
-            or channel_var <= 0:
-        raise ValueError("all arguments must be > 0")
-    return 0.5 * math.log2(_rate_arg(t_i * t_alpha, t_i + t_alpha, power,
-                                     noise_var, channel_var))
+    t_i, t_alpha = (as_number(int, t, "training slot")
+                    for t in (t_i, t_alpha))
+    reals = [as_number(float, x, "rate input")
+             for x in (power, noise_var, channel_var)]
+    if min(t_i, t_alpha) < 1 or not all(0 < x < math.inf for x in reals):
+        raise ValueError("slots must be >= 1, power and variances finite "
+                         "and > 0")
+    return float(_rates(t_i, t_alpha, *reals))
 
 
 @dataclass
 class WirelessRateReport:
-    pairwise: List[Tuple[float, float]]  # (Alice-side, Bob-side) per relay
     i_g: List[float]                     # per-relay minima
     r_key: float                         # bits per channel use
     xor_r_key: float
 
 
 def key_rate(config: WirelessConfig) -> WirelessRateReport:
-    """Network key rate per channel use for one slot allocation."""
-    pairwise = []
-    for i in range(config.m):
-        var_a, var_b = config.channel_vars[i]
-        t_i = config.t_relays[i]
-        pairwise.append((
-            pairwise_rate(t_i, config.t_a, config.power, config.noise_var,
-                          var_a),
-            pairwise_rate(t_i, config.t_b, config.power, config.noise_var,
-                          var_b),
-        ))
-    i_g = [min(a, b) for a, b in pairwise]
+    """Network key rate per channel use for one slot allocation.
+
+    The 2M (relay, Alice or Bob side) pairwise rates come from one
+    :func:`_rates` call; ``i_g`` holds each relay's smaller one.
+    """
+    pair = _rates(np.array(config.t_relays)[:, None],
+                  np.array([config.t_a, config.t_b]), config.power,
+                  config.noise_var, config.channel_vars)
+    i_g = pair.min(axis=1).tolist()
     return WirelessRateReport(
-        pairwise=pairwise,
         i_g=i_g,
         r_key=rates.capacity(i_g) / config.block_len,
         xor_r_key=rates.xor_baseline_rate(i_g) / config.block_len,
@@ -203,27 +209,18 @@ def _rate_table(m: int, block_len: int, power: float, noise_var: float,
     """tab[i, side, t_i, t_alpha]: pairwise rate of relay i with Alice
     (side 0) or Bob (side 1) for every slot pair one allocation can hold.
 
-    Each entry is the very float :func:`pairwise_rate` returns for the
-    same (Python float) arguments, so a lookup gives what :func:`key_rate`
-    computes: the slot products and sums are exact integers, the log's
-    argument comes from the shared :func:`_rate_arg` over whole arrays,
-    and the log is ``math.log2`` per entry (``np.log2`` differs from it
-    in the last bit on some arguments).  Index 0 is unused.  The rate is
-    symmetric in (t_i, t_alpha), so only t_i <= t_alpha is computed and
-    the rest is mirrored.  Overflowing products leave inf or nan entries
-    for the caller to reject.
+    One :func:`_rates` call over the upper triangle t_i <= t_alpha for all
+    2M variances, mirrored into the lower one (the rate is symmetric in
+    its slot counts), so each entry is the float :func:`pairwise_rate`
+    returns and the kernel has already rejected a non-finite one.  Index
+    0 is unused.
     """
     longest = block_len - m - 1
     t_i, t_alpha = np.triu_indices(longest)
     t_i += 1
     t_alpha += 1
-    prod = (t_i * t_alpha).astype(float)
-    tsum = (t_i + t_alpha).astype(float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        args = np.concatenate([_rate_arg(prod, tsum, power, noise_var, var)
-                               for sides in channel_vars for var in sides])
-    rate = 0.5 * np.fromiter(map(math.log2, args.tolist()), float,
-                             args.size).reshape(m, 2, -1)
+    rate = _rates(t_i, t_alpha, power, noise_var,
+                  np.reshape(channel_vars, (m, 2, 1)))
     tab = np.zeros((m, 2, longest + 1, longest + 1))
     tab[..., t_i, t_alpha] = rate
     tab[..., t_alpha, t_i] = rate
@@ -248,12 +245,10 @@ def optimize_allocation(m: int, block_len: int, power: float,
     :class:`BudgetExceeded` when that count is over 10^7, before any
     table is built.
 
-    The exhaustive search validates the inputs once and tabulates the
-    pairwise rate of every (relay, side, relay slot, terminal slot) with
-    array arithmetic (:func:`_rate_table`, the rate being symmetric in
-    its two slot counts), then checks once that every table entry is
-    finite and >= 0, raising the ``ValueError`` :func:`rates.capacity`
-    raises.  It builds the relay slot counts of every relay budget
+    The search validates the inputs once and tabulates the pairwise
+    rate of every (relay, side, relay slot, terminal slot) with the one
+    rate kernel (:func:`_rate_table`), which raises ``ValueError`` on a
+    non-finite rate.  It builds the relay slot counts of every relay budget
     R = T-2, ..., M once (C(T-2, M) columns of narrow integers,
     descending R).  For Alice's slot count t_A, the allocations
     (t_A, t_B, t_1..t_M) are, in lexicographic order, the suffix with
@@ -281,7 +276,6 @@ def optimize_allocation(m: int, block_len: int, power: float,
             f"compositions, over the {_EXHAUSTIVE_LIMIT:,} budget")
     tab = _rate_table(m, block_len, config.power, config.noise_var,
                       config.channel_vars)
-    rates._check_finite(tab)  # covers every value a chunk reads
     rel, budget = _relay_compositions(m, block_len)
     stride = tab.shape[-1]
     # flat index of tab[i, 0, 0, 0] per relay; side 1 adds stride**2
@@ -367,6 +361,8 @@ def mc_estimate_check(config: WirelessConfig, pair_index: int,
     MMSE estimates from their noisy training observations, and computes
     the Gaussian MI from the sample correlation via -0.5*log2(1-rho^2).
     """
+    pair_index = as_number(int, pair_index, "pair index")
+    samples = as_number(int, samples, "sample count")
     if samples < 100_000:
         raise ValueError("need at least 1e5 samples")
     if not 0 <= pair_index < config.m:

@@ -160,8 +160,9 @@ class TestLeakageAudit:
             infotools.leakage_audit(cb, 0).mi_bits, abs=1e-12)
 
     def test_rejects_bad_relay(self):
-        with pytest.raises(ValueError):
-            infotools.leakage_audit(parity_codebook(), 5)
+        for relay in (5, -1, True, 1.0, "1", None):
+            with pytest.raises(ValueError):
+                infotools.leakage_audit(parity_codebook(), relay)
 
 
 def _leakage_oracle(codebook, relay):
@@ -333,6 +334,21 @@ class TestEmpiricalMi:
     def test_rejects_no_bootstrap(self):
         with pytest.raises(ValueError):
             empirical_mi([0, 1] * 600, [0, 1] * 600, bootstrap=0)
+
+    def test_rejects_float_samples(self):
+        # Truncated to integers, these floats would read as 1 bit of MI.
+        x = np.random.Generator(np.random.PCG64(7)).uniform(0, 1.99, 2000)
+        with pytest.raises(ValueError):
+            empirical_mi(x, x, bootstrap=10)
+        with pytest.raises(ValueError):
+            empirical_mi(x.tolist(), x.astype(np.int64), bootstrap=10)
+
+    @pytest.mark.parametrize("samples", [[True, False] * 600,
+                                         np.array([True, False] * 600),
+                                         ["0", "1"] * 600])
+    def test_rejects_non_integer_samples(self, samples):
+        with pytest.raises(ValueError):
+            empirical_mi(samples, [0, 1] * 600, bootstrap=10)
 
     @staticmethod
     def _miller_madow_oracle(joint, k_x, k_y):

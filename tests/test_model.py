@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -170,3 +172,9 @@ def test_pair_mutual_informations():
     assert mis[0] == (3.0, 2.0)
     assert mis[1][0] == 0.0
     assert mis[1][1] == pytest.approx(1.0 - binary_entropy(0.25))
+
+
+@pytest.mark.parametrize("p", [True, False, "0.2", None, math.nan])
+def test_binary_entropy_rejects_non_reals(p):
+    with pytest.raises(ValueError):
+        binary_entropy(p)

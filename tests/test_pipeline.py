@@ -38,6 +38,14 @@ def test_key_bits_for_rejects_negative_slack():
         pipeline.key_bits_for([3, 3], -2)
 
 
+@pytest.mark.parametrize("widths, slack", [
+    ([3, 3], 1.5), ([3.0, 3], 0), ([3, True], 0), ([3, 3], True),
+    ([3, "3"], 0), ([3, 3], "1")])
+def test_key_bits_for_rejects_non_integers(widths, slack):
+    with pytest.raises(ValueError):
+        pipeline.key_bits_for(widths, slack)
+
+
 def test_truncation_keeps_proportional_prefixes():
     # Common messages of 12, 20 and 8 bits: 40 bits, twice the budget.
     inst = ideal_instance([(3, 4), (5, 5), (2, 9)], n=4)

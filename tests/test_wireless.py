@@ -20,15 +20,23 @@ def _compositions(total, parts):
         yield tuple(bounds[j + 1] - bounds[j] for j in range(parts))
 
 
+def _rate_oracle(t_i, t_a, p, d, v):
+    """The closed-form pairwise rate in plain Python floats."""
+    return 0.5 * math.log2(1.0 + t_i * t_a * p**2 * v**2
+                           / (d**2 + (t_i + t_a) * d * v * p))
+
+
 def _exhaustive_oracle(m, block_len, power, noise_var, channel_vars):
-    """Reference search: one validated config and one key_rate call per
-    composition, the first strict maximum wins."""
+    """Reference search: the plain-Python rate of every (relay, side) of
+    every composition and the capacity formula, the first strict maximum
+    wins."""
     best, best_rate = None, -1.0
     for alloc in _compositions(block_len, m + 2):
-        cfg = WirelessConfig(m=m, power=power, noise_var=noise_var,
-                             channel_vars=channel_vars, block_len=block_len,
-                             allocation=alloc)
-        r = key_rate(cfg).r_key
+        t_a, t_b, *t_rel = alloc
+        i_g = [min(_rate_oracle(t, t_a, power, noise_var, v_a),
+                   _rate_oracle(t, t_b, power, noise_var, v_b))
+               for t, (v_a, v_b) in zip(t_rel, channel_vars)]
+        r = (sum(i_g) - max(i_g)) / block_len
         if r > best_rate:
             best, best_rate = alloc, r
     return AllocationResult(best, best_rate, "exhaustive")
@@ -54,6 +62,18 @@ class TestPairwiseRate:
             with pytest.raises(ValueError):
                 pairwise_rate(*args)
 
+    @pytest.mark.parametrize("args", [
+        (1, 1, math.nan, 1, 1), (1, 1, 1, math.inf, 1),
+        (1, 1, 1, 1, math.nan), (True, 2, 1, 1, 1), (1.5, 2, 1, 1, 1),
+        (1, 2.0, 1, 1, 1), ("1", 2, 1, 1, 1), (1, 2, "1", 1, 1),
+        (1, 2, 1, True, 1)],
+        ids=["nan-power", "inf-noise", "nan-channel", "bool-slot",
+             "fractional-slot", "float-slot", "str-slot", "str-power",
+             "bool-noise"])
+    def test_rejects_unconverted_and_nonfinite(self, args):
+        with pytest.raises(ValueError):
+            pairwise_rate(*args)
+
     def test_partial_derivative_signs(self):
         # Strictly increasing in slots, power and channel variance;
         # strictly decreasing in noise, at 100 random points.
@@ -65,6 +85,7 @@ class TestPairwiseRate:
             d = float(rng.uniform(0.2, 4.0))
             v = float(rng.uniform(0.2, 4.0))
             base = pairwise_rate(t_i, t_a, p, d, v)
+            assert base == _rate_oracle(t_i, t_a, p, d, v)
             assert pairwise_rate(t_i + 1, t_a, p, d, v) > base
             assert pairwise_rate(t_i, t_a + 1, p, d, v) > base
             assert pairwise_rate(t_i, t_a, p * 1.01, d, v) > base
@@ -249,14 +270,16 @@ class TestOptimizeAllocation:
             for side, var in enumerate(sides):
                 for t_i in range(1, longest + 1):
                     for t_alpha in range(1, longest + 1):
-                        full[i, side, t_i, t_alpha] = pairwise_rate(
+                        full[i, side, t_i, t_alpha] = _rate_oracle(
                             t_i, t_alpha, power, noise_var, var)
         assert (tab == full).all()
 
     @pytest.mark.parametrize("case", range(24))
     def test_rate_table_equals_scalar_rate(self, case):
         # Every entry, both triangles and the unused index 0 included, is
-        # the float the scalar formula returns.
+        # the float the plain-Python formula returns; so are pairwise_rate
+        # at sampled slot pairs and key_rate's minima at a random
+        # allocation.
         rng = np.random.Generator(np.random.PCG64(2000 + case))
         m = int(rng.integers(2, 6))
         block_len = int(rng.integers(m + 2, 41))
@@ -272,10 +295,24 @@ class TestOptimizeAllocation:
         assert (tab[..., 0, :] == 0).all() and (tab[..., :, 0] == 0).all()
         for i, sides in enumerate(channel_vars):
             for side, var in enumerate(sides):
-                want = [[pairwise_rate(t_i, t_alpha, power, noise_var, var)
+                want = [[_rate_oracle(t_i, t_alpha, power, noise_var, var)
                          for t_alpha in range(1, longest + 1)]
                         for t_i in range(1, longest + 1)]
                 assert tab[i, side, 1:, 1:].tolist() == want
+                for t_i, t_alpha in rng.integers(1, longest + 1, (5, 2)):
+                    assert pairwise_rate(int(t_i), int(t_alpha), power,
+                                         noise_var, var) \
+                        == want[t_i - 1][t_alpha - 1]
+        cuts = sorted(rng.choice(np.arange(1, block_len), m + 1,
+                                 replace=False).tolist())
+        alloc = np.diff([0, *cuts, block_len]).tolist()
+        cfg = WirelessConfig(m=m, power=power, noise_var=noise_var,
+                             channel_vars=channel_vars, block_len=block_len,
+                             allocation=alloc)
+        assert key_rate(cfg).i_g == [
+            min(_rate_oracle(t, alloc[0], power, noise_var, v_a),
+                _rate_oracle(t, alloc[1], power, noise_var, v_b))
+            for t, (v_a, v_b) in zip(alloc[2:], channel_vars)]
 
     def test_overflowing_rates_raise_before_scoring(self, monkeypatch):
         # P=1e154 squares to a finite 1e308, but the rates overflow to
@@ -487,5 +524,8 @@ class TestMcEstimateCheck:
         cfg = uniform_config(2)
         with pytest.raises(ValueError):
             mc_estimate_check(cfg, 0, 1000)
-        with pytest.raises(ValueError):
-            mc_estimate_check(cfg, 5, 100_000)
+        for pair_index, samples in [(5, 100_000), (True, 100_000),
+                                    (0.0, 100_000), (0, 100_000.0),
+                                    (0, "100000")]:
+            with pytest.raises(ValueError):
+                mc_estimate_check(cfg, pair_index, samples)
