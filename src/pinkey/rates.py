@@ -78,7 +78,11 @@ def xor_baseline_rate(i_values: Sequence[float]) -> float:
     Each pair contributes the minimum of its two members; with an odd relay
     count the unpaired relay contributes zero.  Order-sensitive by design.
     """
-    vals = _validated(i_values).tolist()
+    return _xor_pairs(_validated(i_values).tolist())
+
+
+def _xor_pairs(vals: List[float]) -> float:
+    """:func:`xor_baseline_rate` of a validated list of values."""
     total = 0.0
     for j in range(0, len(vals) - 1, 2):
         total += min(vals[j], vals[j + 1])

@@ -25,7 +25,7 @@ from . import rates
 from .errors import BudgetExceeded, as_number
 
 _EXHAUSTIVE_LIMIT = 10_000_000
-_SCORE_CHUNK = 2048
+_SCORE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,12 @@ class WirelessConfig:
 def uniform_config(m: int, slot: int = 2, power: float = 1.0,
                    noise_var: float = 1.0,
                    channel_var: float = 1.0) -> WirelessConfig:
-    """Fully symmetric configuration: every slot and variance equal."""
+    """Fully symmetric configuration: every slot and variance equal.
+
+    ``m`` and ``slot`` must be integers; a bool, a float or a string
+    raises ``ValueError``.
+    """
+    m, slot = as_number(int, m, "m"), as_number(int, slot, "slot")
     return WirelessConfig(m=m, power=power, noise_var=noise_var,
                           channel_vars=[(channel_var, channel_var)] * m,
                           block_len=slot * (m + 2),
@@ -152,16 +157,19 @@ def key_rate(config: WirelessConfig) -> WirelessRateReport:
     """Network key rate per channel use for one slot allocation.
 
     The 2M (relay, Alice or Bob side) pairwise rates come from one
-    :func:`_rates` call; ``i_g`` holds each relay's smaller one.
+    :func:`_rates` call; ``i_g`` holds each relay's smaller one.  The
+    kernel has already checked them, so the capacity and the XOR-pair
+    sum take them without a second check.
     """
     pair = _rates(np.array(config.t_relays)[:, None],
                   np.array([config.t_a, config.t_b]), config.power,
                   config.noise_var, config.channel_vars)
-    i_g = pair.min(axis=1).tolist()
+    i_g = pair.min(axis=1)
+    listed = i_g.tolist()
     return WirelessRateReport(
-        i_g=i_g,
-        r_key=rates.capacity(i_g) / config.block_len,
-        xor_r_key=rates.xor_baseline_rate(i_g) / config.block_len,
+        i_g=listed,
+        r_key=float(rates._capacity(i_g)) / config.block_len,
+        xor_r_key=rates._xor_pairs(listed) / config.block_len,
     )
 
 
@@ -241,9 +249,10 @@ def optimize_allocation(m: int, block_len: int, power: float,
     """Best training-slot allocation for the network key rate.
 
     Exhaustive over all C(T-1, M+1) compositions of the block length T
-    into M+2 positive slots.  After validating the inputs, raises
-    :class:`BudgetExceeded` when that count is over 10^7, before any
-    table is built.
+    into M+2 positive slots.  ``m`` and ``block_len`` must be integers
+    (a bool, a float or a string raises ``ValueError``).  After
+    validating the inputs, raises :class:`BudgetExceeded` when that count
+    is over 10^7, before any table is built.
 
     The search validates the inputs once and tabulates the pairwise
     rate of every (relay, side, relay slot, terminal slot) with the one
@@ -252,15 +261,29 @@ def optimize_allocation(m: int, block_len: int, power: float,
     R = T-2, ..., M once (C(T-2, M) columns of narrow integers,
     descending R).  For Alice's slot count t_A, the allocations
     (t_A, t_B, t_1..t_M) are, in lexicographic order, the suffix with
-    R <= T-t_A-1 and t_B = T-t_A-R; each suffix is scored in chunks of
-    at most 2048 rows with one flat table lookup per side, the capacity
-    formula over the relay-major minima and one argmax, so every rate is
-    the float :func:`key_rate` would return.  Ties go to the first
-    allocation in lexicographic order.  On a 2-core x86 machine M=4,
-    T=30 (118,755 allocations) takes about 5 ms, T=40 (575,757) about
-    23 ms and T=68 (9,657,648) about 0.38 s, with tracemalloc peaks of
-    0.4, 0.7 and 4 MiB.
+    R <= T-t_A-1 and t_B = T-t_A-R, so u = t_A+t_B-2 = T-2-R is fixed
+    by the column.  Two tables turn each allocation's per-relay minima
+    into one gather:
+
+    - ``gu[u, i, t_i] = min(tab[i, 0, t_i, t_A], tab[i, 1, t_i, t_B])``,
+      a (T-M-1, M, T-M) array refreshed once per t_A for the rows
+      u >= t_A-1 that its suffix reads;
+    - ``ridx[i, c] = u_c*M*(T-M) + i*(T-M) + t_{i,c}``, the flat index
+      of column c's entries in ``gu``, built once in place in the
+      narrowest unsigned dtype that holds ``gu.size - 1`` (uint16 for
+      every M=4 search within the budget, and at M=2 up to T=183).
+
+    Each suffix is scored in chunks of at most 4096 columns with one
+    ``take``, the capacity formula over the relay-major minima and one
+    argmax, so every rate is the float :func:`key_rate` would return.
+    Ties go to the first allocation in lexicographic order.  On a 2-core
+    x86 machine M=4, T=30 (118,755 allocations) takes about 3.5 ms, T=40
+    (575,757) about 11 ms and T=68 (9,657,648) about 0.16 s, with
+    tracemalloc peaks of 0.6, 1.3 and 9.6 MiB (at T=68 the index table
+    is 5.5 MiB of it).
     """
+    m = as_number(int, m, "m")
+    block_len = as_number(int, block_len, "block_len")
     parts = m + 2
     if block_len < parts:
         raise ValueError(f"block length {block_len} cannot host "
@@ -278,24 +301,30 @@ def optimize_allocation(m: int, block_len: int, power: float,
                       config.channel_vars)
     rel, budget = _relay_compositions(m, block_len)
     stride = tab.shape[-1]
-    # flat index of tab[i, 0, 0, 0] per relay; side 1 adds stride**2
-    base = (np.arange(m) * tab[0].size)[:, None]
-    flat = tab.ravel()
+    # per side, [t_alpha, i, t_i]: one terminal slot's rates, relay-major
+    side_a, side_b = tab.transpose(1, 3, 0, 2)
+    # gu[u, i, t_i] = min of relay i's two rates at u = t_A + t_B - 2
+    gu = np.empty((stride - 1, m, stride))
+    dtype = np.min_scalar_type(gu.size - 1)
     cols = rel.shape[1]
+    ridx = rel.astype(dtype)
+    ridx += (np.arange(m, dtype=dtype) * stride)[:, None]
+    # budget R's columns: the last C(R, M) less the last C(R-1, M)
+    for r in range(m, block_len - 1):
+        ridx[:, cols - math.comb(r, m):cols - math.comb(r - 1, m)] += \
+            (block_len - 2 - r) * m * stride
+    g = gu.ravel()  # a view: every refresh of gu shows through
     best, best_rate = None, -1.0
     for t_a in range(1, block_len - m):
+        # rows u >= t_A - 1 (t_B = 1 .. T-M-t_A) are the ones this t_A's
+        # suffix reads; the rows below hold an earlier t_A's minima
+        np.minimum(side_a[t_a], side_b[1:block_len - m - t_a + 1],
+                   out=gu[t_a - 1:])
         # every (t_B, t_1..t_M) with this t_A: the budgets R <= T-t_A-1
         for lo in range(cols - math.comb(block_len - t_a - 1, m), cols,
                         _SCORE_CHUNK):
-            hi = min(lo + _SCORE_CHUNK, cols)
-            idx = np.multiply(rel[:, lo:hi], stride, dtype=np.intp)
-            idx += base + t_a
-            i_a = flat.take(idx)
-            # tab[i, 1, t_i, t_B] lies stride**2 + t_B - t_A further on
-            idx += np.subtract(block_len - 2 * t_a + stride * stride,
-                               budget[lo:hi], dtype=np.intp)
-            i_g = np.minimum(i_a, flat.take(idx), out=i_a)
-            r_key = rates._capacity(i_g.T) / block_len
+            r_key = rates._capacity(
+                g.take(ridx[:, lo:lo + _SCORE_CHUNK]).T) / block_len
             j = int(np.argmax(r_key))
             if r_key[j] > best_rate:
                 best_rate = float(r_key[j])
@@ -321,7 +350,9 @@ def multiplexing_gain_sweep(m: int, p_grid: Sequence[float],
 
     Uses the balanced symmetric family (equal slots and unit-ratio
     variances) so the high-power ratios converge to M-1 for the binning
-    scheme and floor(M/2) for the XOR baseline.
+    scheme and floor(M/2) for the XOR baseline.  ``m`` and ``slot`` go
+    through :func:`uniform_config`, so a non-integer one raises
+    ``ValueError``.
     """
     p_grid = [as_number(float, p, "grid power") for p in p_grid]
     if not p_grid or any(b <= a for a, b in zip(p_grid, p_grid[1:])):

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pinkey import wireless
+from pinkey import rates, wireless
 from pinkey.errors import BudgetExceeded
 from pinkey.wireless import (AllocationResult, WirelessConfig, key_rate,
                              mc_estimate_check, multiplexing_gain_sweep,
@@ -212,6 +212,33 @@ class TestKeyRate:
             assert abs(report.r_key - alt) <= 1e-12
             assert report.xor_r_key <= report.r_key + 1e-12
 
+    def test_scores_without_revalidating(self, monkeypatch):
+        # The kernel has checked the 2M rates; the public rate functions,
+        # which check their input again, give the same floats.
+        rng = np.random.Generator(np.random.PCG64(12))
+        cfgs = []
+        for m in (2, 3, 4, 5):
+            cuts = sorted(rng.choice(np.arange(1, 20), m + 1,
+                                     replace=False).tolist())
+            cfgs.append(WirelessConfig(
+                m=m, power=float(rng.uniform(0.5, 40)), noise_var=0.8,
+                channel_vars=[(rng.uniform(0.1, 3), rng.uniform(0.1, 3))
+                              for _ in range(m)],
+                block_len=20, allocation=np.diff([0, *cuts, 20]).tolist()))
+        want = [(rates.capacity(r.i_g) / 20,
+                 rates.xor_baseline_rate(r.i_g) / 20)
+                for r in map(key_rate, cfgs)]
+
+        def forbidden(*args):
+            raise AssertionError("key_rate re-validated its own rates")
+
+        monkeypatch.setattr(rates, "capacity", forbidden)
+        monkeypatch.setattr(rates, "xor_baseline_rate", forbidden)
+        got = [key_rate(cfg) for cfg in cfgs]
+        assert [(r.r_key, r.xor_r_key) for r in got] == want
+        assert all(type(r.r_key) is type(r.xor_r_key) is float
+                   for r in got)
+
     def test_optimized_dominates_uniform(self):
         channel_vars = [(2.0, 0.5), (0.7, 1.5), (1.0, 1.0)]
         opt = optimize_allocation(3, 15, 2.0, 1.0, channel_vars)
@@ -376,7 +403,63 @@ class TestOptimizeAllocation:
             assert (got.allocation, got.r_key) == \
                 (want.allocation, want.r_key)
 
-    @pytest.mark.parametrize("block_len, limit_mib", [(30, 1.5), (50, 6.0)])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_reference_on_small_grid(self, monkeypatch, m, tied):
+        # Every T from M+2 to 14, in chunks of 7 columns, pins the t_B = 1
+        # and t_B = T-M-t_A edges of each Alice-slot block, and that no
+        # column reads a minima row an earlier t_A left behind.
+        monkeypatch.setattr(wireless, "_SCORE_CHUNK", 7)
+        rng = np.random.Generator(np.random.PCG64(3000 + m))
+        for block_len in range(m + 2, 15):
+            power = float(rng.uniform(0.2, 20.0))
+            channel_vars = [(0.9, 0.9)] * m if tied else [
+                (float(rng.uniform(0.05, 4.0)), float(rng.uniform(0.05, 4.0)))
+                for _ in range(m)]
+            got = optimize_allocation(m, block_len, power, 1.0, channel_vars)
+            want = _exhaustive_oracle(m, block_len, power, 1.0, channel_vars)
+            assert got.allocation == want.allocation
+            assert got.r_key == want.r_key
+
+    @pytest.mark.parametrize("block_len", [183, 184])
+    def test_matches_array_reference_across_index_dtypes(self, block_len):
+        # The flat minima table of M=2 has (T-3)*2*(T-2) entries: T=183
+        # indexes it with uint16, T=184 with uint32.  About 10^6
+        # allocations each, scored here from plain-Python rates.
+        assert ((block_len - 3) * 2 * (block_len - 2) - 1 <= 0xFFFF) \
+            == (block_len == 183)
+        power, noise_var = 6.0, 1.1
+        channel_vars = [(0.7, 1.3), (1.9, 0.6)]
+        longest = block_len - 3
+        tab = np.zeros((2, 2, longest + 1, longest + 1))
+        for i, sides in enumerate(channel_vars):
+            for side, var in enumerate(sides):
+                tab[i, side, 1:, 1:] = [
+                    [_rate_oracle(t_i, t_alpha, power, noise_var, var)
+                     for t_alpha in range(1, longest + 1)]
+                    for t_i in range(1, longest + 1)]
+        best, best_rate = None, -1.0
+        for t_a in range(1, longest + 1):
+            # rows t_B, columns t_1, both 1 .. T-t_A-2; t_2 is the rest
+            t_b = np.arange(1, block_len - t_a - 1)[:, None]
+            t_1 = t_b.T
+            t_2 = block_len - t_a - t_b - t_1
+            ok = t_2 >= 1
+            t_2 = np.where(ok, t_2, 1)
+            g1 = np.minimum(tab[0, 0, t_1, t_a], tab[0, 1, t_1, t_b])
+            g2 = np.minimum(tab[1, 0, t_2, t_a], tab[1, 1, t_2, t_b])
+            r_key = np.where(ok, (g1 + g2 - np.maximum(g1, g2)) / block_len,
+                             -np.inf)
+            j, k = np.unravel_index(np.argmax(r_key), r_key.shape)
+            if r_key[j, k] > best_rate:
+                best_rate = float(r_key[j, k])
+                best = (t_a, j + 1, k + 1, block_len - t_a - j - k - 2)
+        got = optimize_allocation(2, block_len, power, noise_var,
+                                  channel_vars)
+        assert (got.allocation, got.r_key) == (best, best_rate)
+
+    @pytest.mark.parametrize("block_len, limit_mib",
+                             [(30, 1.5), (50, 6.0), (68, 10.0)])
     def test_working_memory(self, block_len, limit_mib):
         channel_vars = [(0.6, 1.8), (1.1, 0.9), (2.0, 0.7), (0.8, 0.8)]
         tracemalloc.start()
@@ -403,6 +486,13 @@ class TestOptimizeAllocation:
                                            channel_vars):
         with pytest.raises(ValueError):
             optimize_allocation(2, 8, power, noise_var, channel_vars)
+
+    @pytest.mark.parametrize("m, block_len", [
+        (4.0, 30), ("4", 30), (True, 30), (4, True), (4, 30.0), (4, "30")],
+        ids=["m-float", "m-str", "m-bool", "T-bool", "T-float", "T-str"])
+    def test_rejects_non_integer_sizes(self, m, block_len):
+        with pytest.raises(ValueError):
+            optimize_allocation(m, block_len, 1.0, 1.0, [(1, 1)] * 4)
 
     def test_feeds_bottleneck_channel(self):
         # The strongest relay is excluded from the key rate, so slots go
@@ -480,6 +570,16 @@ class TestMultiplexingGain:
             multiplexing_gain_sweep(3, ["10", "100"])
         with pytest.raises(ValueError):
             multiplexing_gain_sweep(3, [10.0, 5.0])
+
+    @pytest.mark.parametrize("m, slot", [
+        (4.0, 2), ("4", 2), (True, 2), (4, 2.0), (4, True), (4, "2")],
+        ids=["m-float", "m-str", "m-bool", "slot-float", "slot-bool",
+             "slot-str"])
+    def test_rejects_non_integer_m_and_slot(self, m, slot):
+        with pytest.raises(ValueError):
+            multiplexing_gain_sweep(m, [10.0, 100.0], slot=slot)
+        with pytest.raises(ValueError):
+            uniform_config(m, slot=slot)
 
     @pytest.mark.parametrize("grid", [[1.0, 10.0], [0.5, 10.0]])
     def test_rejects_power_at_most_one(self, grid):
