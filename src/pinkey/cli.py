@@ -1,8 +1,10 @@
 """Batch front-end: config ingestion, experiment orchestration, output.
 
 One JSON config file carries per-command sections; flags override config
-fields (precedence: flag > config > default).  Identical config and seed
-produce byte-identical output files.
+fields (precedence: flag > config > default).  :func:`main` reads the
+command's section, and each ``run_*`` turns it into a results dict that
+:func:`main` writes as JSON (or, for ``wireless``, CSV).  Identical config
+and seed produce byte-identical output files.
 
 Exit codes: 0 success, 2 config error, 3 enumeration budget exceeded,
 4 internal invariant violation.
@@ -45,15 +47,23 @@ _BLOCKS = {
     "wireless": {"m": (int, _REQUIRED), "power_grid": ([float], _REQUIRED),
                  "slot": (int, 2), "noise_var": (float, 1.0),
                  "channel_var": (float, 1.0), "optimize": (bool, False),
-                 "block_len": (int, lambda w: w["slot"] * (w["m"] + 2)),
-                 "power": (float, 1.0),
+                 # Read by the optimizer only: None without it.
+                 "block_len": (int, lambda w: w["slot"] * (w["m"] + 2)
+                               if w["optimize"] else None),
+                 "power": (float, lambda w: 1.0 if w["optimize"] else None),
                  "channel_vars": ([[float]],
-                                  lambda w: [[w["channel_var"]] * 2] * w["m"])},
+                                  lambda w: [[w["channel_var"]] * 2] * w["m"]
+                                  if w["optimize"] else None)},
     "tightness": {"kind": (str, _REQUIRED), **_TIGHTNESS},
     "leakage": {"kind": (str, _REQUIRED), "m": (int, 2),
                 "bits_per_message": ([int], [2, 4, 6, 8]),
                 "codebooks": (int, 100)},
 }
+
+# Exit code and stderr prefix of each error a command reports.
+_EXITS = {ConfigError: (2, "config error"),
+          BudgetExceeded: (3, "budget exceeded"),
+          InvariantViolation: (4, "invariant violation")}
 
 _NAMES = {int: "an integer", float: "a number", bool: "true or false",
           str: "a string", dict: "a JSON object"}
@@ -113,34 +123,6 @@ def _config_digest(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _section(config: dict, name: str) -> dict:
-    """The typed ``name`` section of a config whose root was read."""
-    block = config.get(name)
-    if block is None:
-        raise ConfigError(f"config lacks a '{name}' section")
-    table = name
-    if name == "sweep":
-        table = block.get("kind")
-        if table not in ("tightness", "leakage"):
-            raise ConfigError(f"sweep.kind must be 'tightness' or "
-                              f"'leakage', got {table!r}")
-    return _read(block, table, name)
-
-
-def _write(out: Optional[str], text: str) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(out: Optional[str], digest: str, seed: int,
-               results: dict) -> None:
-    doc = {"config_digest": digest, "seed": seed, "results": results}
-    _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _tightness_sweep(block: dict, seed: int) -> dict:
     """Capacity against the converse bound on ``count`` random instances.
 
@@ -187,19 +169,16 @@ def _map(jobs: int, func, tasks: list) -> list:
     return [func(t) for t in tasks]
 
 
-def run_capacity(config: dict, seed: int, out: Optional[str]) -> None:
-    block = _section(config, "capacity")
+def run_capacity(block: dict, seed: int, jobs: int) -> dict:
     try:
         report = rates.rate_report(block["pair_mis"])
     except ValueError as exc:
         raise ConfigError(f"capacity.pair_mis: {exc}") from exc
-    results = {"report": report.to_dict(),
-               "tightness_gap": abs(report.capacity - report.converse)}
-    _emit_json(out, _config_digest(config), seed, results)
+    return {"report": report.to_dict(),
+            "tightness_gap": abs(report.capacity - report.converse)}
 
 
-def run_protocol(config: dict, seed: int, out: Optional[str]) -> None:
-    block = _section(config, "protocol")
+def run_protocol(block: dict, seed: int, jobs: int) -> dict:
     try:
         instance = PinInstance(
             m=block["m"], pairs=[PairSource(**p) for p in block["pairs"]],
@@ -243,7 +222,7 @@ def run_protocol(config: dict, seed: int, out: Optional[str]) -> None:
         print(f"note: {cut_trials} of {completed} completed trials cut "
               f"their common messages to fit the codebook budget, "
               f"keeping {cut_kept} of {cut_full} bits", file=sys.stderr)
-    results = {
+    return {
         "trials": trials,
         "completed": completed,
         "reconciliation_failures": failures,
@@ -255,86 +234,73 @@ def run_protocol(config: dict, seed: int, out: Optional[str]) -> None:
                                   if leakage_max else None),
         "transcript_digest": first_digest,
     }
-    _emit_json(out, _config_digest(config), seed, results)
 
 
-def run_wireless(config: dict, seed: int, out: Optional[str],
-                 fmt: str) -> None:
-    block = _section(config, "wireless")
-    # Keys only the optimizer reads; _read filled in their defaults, so
-    # look at the keys the config wrote.
-    unread = sorted({"block_len", "power", "channel_vars"}
-                    & set(config["wireless"]))
+def run_wireless(block: dict, seed: int, jobs: int) -> dict:
+    # The optimizer's keys default to None without "optimize": true (see
+    # _BLOCKS), so a value there was written by the config.
+    unread = sorted(key for key in ("block_len", "power", "channel_vars")
+                    if block[key] is not None)
     if unread and not block["optimize"]:
         raise ConfigError(f"wireless keys {unread} need 'optimize': true")
-    opt = None
     try:
         rows = wireless.multiplexing_gain_sweep(
             block["m"], block["power_grid"], slot=block["slot"],
             noise_var=block["noise_var"], channel_var=block["channel_var"])
+        results = {"sweep": [vars(r) for r in rows]}
         if block["optimize"]:
             opt = wireless.optimize_allocation(
                 block["m"], block["block_len"], block["power"],
                 block["noise_var"], block["channel_vars"])
-    except ValueError as exc:
-        raise ConfigError(f"wireless section: {exc}") from exc
-
-    digest = _config_digest(config)
-    if fmt == "csv":
-        lines = [f"# config_digest={digest}", f"# seed={seed}"]
-        if opt:
-            lines.append(f"# allocation={list(opt.allocation)} "
-                         f"r_key={opt.r_key!r} method={opt.method}")
-        lines.append("P,rb_ratio,xor_ratio,r_key,r_s")
-        for row in rows:
-            lines.append(f"{row.power!r},{row.rb_ratio!r},"
-                         f"{row.xor_ratio!r},{row.r_key!r},{row.r_s!r}")
-        _write(out, "\n".join(lines) + "\n")
-    else:
-        results = {"sweep": [vars(r) for r in rows]}
-        if opt:
             results["allocation"] = {"allocation": list(opt.allocation),
                                      "r_key": opt.r_key,
                                      "method": opt.method}
-        _emit_json(out, digest, seed, results)
+    except ValueError as exc:
+        raise ConfigError(f"wireless section: {exc}") from exc
+    return results
 
 
-def run_sweep(config: dict, seed: int, out: Optional[str],
-              jobs: int) -> None:
-    block = _section(config, "sweep")
+def _wireless_csv(digest: str, seed: int, results: dict) -> str:
+    lines = [f"# config_digest={digest}", f"# seed={seed}"]
+    opt = results.get("allocation")
+    if opt:
+        lines.append(f"# allocation={opt['allocation']} "
+                     f"r_key={opt['r_key']!r} method={opt['method']}")
+    lines.append("P,rb_ratio,xor_ratio,r_key,r_s")
+    lines += [",".join(repr(row[key]) for key in
+                       ("power", "rb_ratio", "xor_ratio", "r_key", "r_s"))
+              for row in results["sweep"]]
+    return "\n".join(lines) + "\n"
+
+
+def run_sweep(block: dict, seed: int, jobs: int) -> dict:
     kind = block["kind"]
     if kind == "tightness":
-        results = {"kind": kind, **_tightness_sweep(block, seed)}
-    else:
-        m, budgets, codebooks = (block["m"], block["bits_per_message"],
-                                 block["codebooks"])
-        if m < 2 or codebooks < 1 or not budgets or min(budgets) < 0:
-            raise ConfigError("invalid leakage sweep parameters")
-        if m * max(budgets) > distillation.ENUM_BUDGET_BITS:
-            raise BudgetExceeded(
-                f"leakage sweep needs 2^{m * max(budgets)} codewords per "
-                f"codebook, over the 2^{distillation.ENUM_BUDGET_BITS} "
-                f"budget")
-        key_bits = [pipeline.key_bits_for([b] * m, -(-b // 4))
-                    for b in budgets]
-        # One pool for the whole sweep, widest codebooks first; the
-        # maxima come back in task order and are regrouped by budget.
-        widest_first = sorted(range(len(budgets)), key=lambda i: -budgets[i])
-        tasks = [([budgets[i]] * m, key_bits[i],
-                  seed + 100_000 * budgets[i] + c)
-                 for i in widest_first for c in range(codebooks)]
-        maxima = _map(jobs, _leakage_task, tasks)
-        means = [0.0] * len(budgets)
-        for rank, i in enumerate(widest_first):
-            means[i] = float(np.mean(
-                maxima[rank * codebooks:(rank + 1) * codebooks]))
-        table = [{"bits_per_message": b, "key_bits": k,
-                  "mean_max_leakage_bits": mean,
-                  "per_key_bit": mean / k if k else None}
-                 for b, k, mean in zip(budgets, key_bits, means)]
-        results = {"kind": kind, "m": m, "codebooks": codebooks,
-                   "table": table}
-    _emit_json(out, _config_digest(config), seed, results)
+        return {"kind": kind, **_tightness_sweep(block, seed)}
+    m, budgets, codebooks = (block["m"], block["bits_per_message"],
+                             block["codebooks"])
+    if m < 2 or codebooks < 1 or not budgets or min(budgets) < 0:
+        raise ConfigError("invalid leakage sweep parameters")
+    if m * max(budgets) > distillation.ENUM_BUDGET_BITS:
+        raise BudgetExceeded(
+            f"leakage sweep needs 2^{m * max(budgets)} codewords per "
+            f"codebook, over the 2^{distillation.ENUM_BUDGET_BITS} budget")
+    key_bits = [pipeline.key_bits_for([b] * m, -(-b // 4)) for b in budgets]
+    # One pool for the whole sweep, widest codebooks first; the maxima
+    # come back in task order and are regrouped by budget.
+    widest_first = sorted(range(len(budgets)), key=lambda i: -budgets[i])
+    tasks = [([budgets[i]] * m, key_bits[i], seed + 100_000 * budgets[i] + c)
+             for i in widest_first for c in range(codebooks)]
+    maxima = _map(jobs, _leakage_task, tasks)
+    means = [0.0] * len(budgets)
+    for rank, i in enumerate(widest_first):
+        means[i] = float(np.mean(maxima[rank * codebooks:
+                                        (rank + 1) * codebooks]))
+    table = [{"bits_per_message": b, "key_bits": k,
+              "mean_max_leakage_bits": mean,
+              "per_key_bit": mean / k if k else None}
+             for b, k, mean in zip(budgets, key_bits, means)]
+    return {"kind": kind, "m": m, "codebooks": codebooks, "table": table}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Read the command's config section, run it and write its results:
+    the one path from a config to an output file for every command."""
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
@@ -368,25 +336,38 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                               f"got {seed!r}")
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
-        if args.format is not None and args.command != "wireless":
+        name = args.command
+        if args.format is not None and name != "wireless":
             raise ConfigError("--format applies only to wireless")
-        if args.command == "capacity":
-            run_capacity(config, seed, args.out)
-        elif args.command == "protocol":
-            run_protocol(config, seed, args.out)
-        elif args.command == "wireless":
-            run_wireless(config, seed, args.out, args.format or "csv")
+        block = config.get(name)
+        if block is None:
+            raise ConfigError(f"config lacks a '{name}' section")
+        table = block.get("kind") if name == "sweep" else name
+        if name == "sweep" and table not in ("tightness", "leakage"):
+            raise ConfigError(f"sweep.kind must be 'tightness' or "
+                              f"'leakage', got {table!r}")
+        # Looked up at call time, so a wrapper set on this module runs.
+        results = globals()[f"run_{name}"](_read(block, table, name), seed,
+                                           args.jobs)
+        digest = _config_digest(config)
+        if name == "wireless" and args.format != "json":
+            text = _wireless_csv(digest, seed, results)
         else:
-            run_sweep(config, seed, args.out, args.jobs)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 4
+            doc = {"config_digest": digest, "seed": seed, "results": results}
+            try:
+                text = json.dumps(doc, indent=2, sort_keys=True,
+                                  allow_nan=False) + "\n"
+            except ValueError as exc:
+                raise InvariantViolation(f"{name} results: {exc}") from exc
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except tuple(_EXITS) as exc:
+        code, what = _EXITS[type(exc)]
+        print(f"{what}: {exc}", file=sys.stderr)
+        return code
     return 0
 
 
