@@ -6,8 +6,9 @@ command's section, and each ``run_*`` turns it into a results dict that
 :func:`main` writes as JSON (or, for ``wireless``, CSV).  Identical config
 and seed produce byte-identical output files.
 
-Exit codes: 0 success, 2 config error, 3 enumeration budget exceeded,
-4 internal invariant violation.
+Exit codes: 0 success, 2 config error, 3 enumeration or array budget
+exceeded, 4 internal invariant violation (a NaN or infinite result
+included).
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ _REQUIRED = object()
 # the block named by its kind.
 _TIGHTNESS = {"count": (int, 1000), "m_min": (int, 2), "m_max": (int, 6),
               "i_max": (float, 4.0)}
+# Cells of the tightness sweep's padded array, the scale of the audit's
+# table budget.
+_TIGHTNESS_CELLS = 1 << 24
 _BLOCKS = {
     "root": {"seed": (int, 0), "capacity": (dict, None),
              "protocol": (dict, None), "wireless": (dict, None),
@@ -130,19 +134,27 @@ def _tightness_sweep(block: dict, seed: int) -> dict:
     (Alice-side, Bob-side) MI pairs uniform on [0, i_max) from
     PCG64(seed + t).  The instances are zero-padded to m_max relays,
     which changes neither rate, and both rates are evaluated once over
-    the whole (count, m_max, 2) array.
+    the whole (count, m_max, 2) array; one over 2^24 cells raises
+    ``BudgetExceeded`` before it is allocated.
     """
     count, m_min, m_max, i_max = (block[key] for key in _TIGHTNESS)
     if m_min < 2 or m_max < m_min or count < 1 or i_max <= 0.0:
         raise ConfigError("invalid tightness sweep bounds")
+    if count * m_max * 2 > _TIGHTNESS_CELLS:
+        raise BudgetExceeded(
+            f"tightness sweep pads {count} instances to {m_max} relays: "
+            f"{count * m_max * 2:,} cells, over the 2^24 budget")
     pair_mis = np.zeros((count, m_max, 2))
     for t in range(count):
         rng = np.random.Generator(np.random.PCG64(seed + t))
         m = int(rng.integers(m_min, m_max + 1))
         pair_mis[t, :m] = rng.uniform(0.0, i_max, size=(m, 2))
     i_vals = np.minimum(pair_mis[..., 0], pair_mis[..., 1])
-    gaps = np.abs(rates.capacity(i_vals)
-                  - rates.converse_bound(pair_mis).bound)
+    try:
+        gaps = np.abs(rates.capacity(i_vals)
+                      - rates.converse_bound(pair_mis).bound)
+    except ValueError as exc:
+        raise ConfigError(f"tightness sweep: {exc}") from exc
     return {"count": count,
             "tightness_failures": int(np.count_nonzero(gaps > 1e-12)),
             "max_gap": float(gaps.max())}
@@ -294,8 +306,8 @@ def run_sweep(block: dict, seed: int, jobs: int) -> dict:
     maxima = _map(jobs, _leakage_task, tasks)
     means = [0.0] * len(budgets)
     for rank, i in enumerate(widest_first):
-        means[i] = float(np.mean(maxima[rank * codebooks:
-                                        (rank + 1) * codebooks]))
+        means[i] = float(np.mean(
+            maxima[rank * codebooks:(rank + 1) * codebooks]))
     table = [{"bits_per_message": b, "key_bits": k,
               "mean_max_leakage_bits": mean,
               "per_key_bit": mean / k if k else None}

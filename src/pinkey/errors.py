@@ -56,8 +56,9 @@ class ConfigError(PinkeyError):
 
 
 class BudgetExceeded(PinkeyError):
-    """An exact enumeration would exceed its desk-scale budget: 2^24
-    codewords for a codebook, 10^7 compositions for a slot allocation."""
+    """An exact enumeration or array would exceed its desk-scale budget:
+    2^24 codewords for a codebook, 10^7 compositions for a slot
+    allocation, 2^24 cells for the tightness sweep's padded array."""
 
 
 class InvariantViolation(PinkeyError):

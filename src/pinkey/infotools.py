@@ -254,7 +254,8 @@ def empirical_mi(x: Sequence[int], y: Sequence[int],
     correction; percentile bootstrap CI.  The result is flagged unreliable
     when the joint alphabet exceeds a tenth of the sample count.  Samples
     must be integers (an integer array or a sequence of ints): float, bool
-    or string samples raise ``ValueError``.
+    or string samples raise ``ValueError``, and so do a ``bootstrap`` that
+    is not an integer >= 1 and a ``confidence`` outside (0, 1).
     """
     x = as_numbers(int, x, "samples").ravel()
     y = as_numbers(int, y, "samples").ravel()
@@ -262,8 +263,12 @@ def empirical_mi(x: Sequence[int], y: Sequence[int],
         raise ValueError("paired sample arrays must have equal length")
     if x.size < 1000:
         raise ValueError("need at least 1000 samples")
+    bootstrap = as_number(int, bootstrap, "bootstrap")
+    confidence = as_number(float, confidence, "confidence")
     if bootstrap < 1:
         raise ValueError("need at least one bootstrap resample")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     k_x = int(x.max()) + 1
     k_y = int(y.max()) + 1
     counts = np.bincount(x * k_y + y, minlength=k_x * k_y)

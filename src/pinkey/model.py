@@ -123,6 +123,8 @@ class PinInstance:
         if len(self.pairs) != self.m:
             raise ValueError(f"expected {self.m} pair sources, "
                              f"got {len(self.pairs)}")
+        if not all(isinstance(p, PairSource) for p in self.pairs):
+            raise ValueError("every pair must be a PairSource")
 
 
 @dataclass

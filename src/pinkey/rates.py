@@ -51,8 +51,19 @@ def _total(vals: np.ndarray) -> np.ndarray:
     return total
 
 
+def _finite_total(vals: np.ndarray) -> np.ndarray:
+    """:func:`_total` of validated values; a total past the float range
+    raises ``ValueError``."""
+    with np.errstate(over="ignore"):
+        total = _total(vals)
+    if not np.isfinite(total).all():
+        raise ValueError("the sum of the rate inputs overflows a float")
+    return total
+
+
 def _capacity(vals: np.ndarray) -> np.ndarray:
-    """:func:`capacity` of validated values of shape (..., M)."""
+    """:func:`capacity` of validated values of shape (..., M), with no
+    overflow check: the slot search calls it once per chunk."""
     return _total(vals) - vals.max(axis=-1)
 
 
@@ -60,9 +71,11 @@ def capacity(i_values) -> Union[float, np.ndarray]:
     """Private-key capacity: sum of all per-relay values minus the largest.
 
     Takes one instance (a sequence of M values) or an array of shape
-    (..., M) and returns a float or an array of shape (...).
+    (..., M) and returns a float or an array of shape (...).  Values
+    whose sum overflows a float raise ``ValueError``.
     """
-    cap = _capacity(_validated(i_values))
+    vals = _validated(i_values)
+    cap = _finite_total(vals) - vals.max(axis=-1)
     return float(cap) if cap.ndim == 0 else cap
 
 
@@ -102,15 +115,15 @@ def converse_bound(source) -> ConverseResult:
     of shape (..., M, 2).  Model m gives the cut sum_i I_i - I_m with
     I_i = min of relay i's pair; the bound is the minimum cut over m.
     The total is the left-to-right column sum :func:`capacity` uses, so
-    ``bound`` equals the capacity exactly.
-    One instance gives a float bound and a list of M cuts; an array
-    gives arrays of shape (...) and (..., M).
+    ``bound`` equals the capacity exactly, and a total that overflows a
+    float raises ``ValueError``.  One instance gives a float bound and a
+    list of M cuts; an array gives arrays of shape (...) and (..., M).
     """
     pairs = as_numbers(float, source, "rate inputs")
     if pairs.ndim < 2 or pairs.shape[-1] != 2:
         raise ValueError("pair MIs must have shape (..., M, 2)")
     i_vals = _validated(np.minimum(pairs[..., 0], pairs[..., 1]))
-    cuts = _total(i_vals)[..., None] - i_vals
+    cuts = _finite_total(i_vals)[..., None] - i_vals
     bound = cuts.min(axis=-1)
     if bound.ndim == 0:
         return ConverseResult(bound=float(bound), per_m_cuts=cuts.tolist())

@@ -25,6 +25,9 @@ from . import rates
 from .errors import BudgetExceeded, as_number
 
 _EXHAUSTIVE_LIMIT = 10_000_000
+# Slot counts and block lengths lie in [1, _MAX_SLOTS): below 2**53 the
+# float slot products of _rates are exact products rounded once.
+_MAX_SLOTS = 2 ** 53
 _SCORE_CHUNK = 4096
 
 
@@ -63,8 +66,11 @@ class WirelessConfig:
             raise ValueError("channel variances must be finite and > 0")
         if len(self.allocation) != self.m + 2:
             raise ValueError(f"allocation needs {self.m + 2} slots")
-        if any(t < 1 for t in self.allocation):
-            raise ValueError("every training slot needs >= 1 symbol")
+        if not all(1 <= t < _MAX_SLOTS for t in self.allocation):
+            raise ValueError("every training slot needs 1 to 2**53 - 1 "
+                             "symbols")
+        if not 1 <= self.block_len < _MAX_SLOTS:
+            raise ValueError("block_len must lie in [1, 2**53)")
         if sum(self.allocation) != self.block_len:
             raise ValueError("training slots must sum to the block length")
 
@@ -118,7 +124,7 @@ def _rates(t_i, t_alpha, power: float, noise_var: float,
                          "overflows") from None
     with np.errstate(over="ignore", invalid="ignore"):
         # float slot products cannot wrap as int64 ones can, and for
-        # slots below 2**53 they are the exact products rounded once
+        # slots below _MAX_SLOTS they are the exact products rounded once
         num = np.multiply(t_i, t_alpha, dtype=float) * p2 * v2
         den = n2 + np.add(t_i, t_alpha, dtype=float) * noise_var * var * power
         args = 1.0 + num / den
@@ -133,16 +139,18 @@ def pairwise_rate(t_i: int, t_alpha: int, power: float, noise_var: float,
     """Closed-form pairwise key rate in bits per fading block (the Gaussian
     MI between the two MMSE channel estimates), computed by :func:`_rates`.
 
-    Slot counts must be integers >= 1, the rest real, finite and > 0; a
-    bool, a string, a fractional slot, NaN or inf raises ``ValueError``.
+    Slot counts must be integers in [1, 2**53), the rest real, finite and
+    > 0; a bool, a string, a fractional slot, NaN or inf raises
+    ``ValueError``.
     """
     t_i, t_alpha = (as_number(int, t, "training slot")
                     for t in (t_i, t_alpha))
     reals = [as_number(float, x, "rate input")
              for x in (power, noise_var, channel_var)]
-    if min(t_i, t_alpha) < 1 or not all(0 < x < math.inf for x in reals):
-        raise ValueError("slots must be >= 1, power and variances finite "
-                         "and > 0")
+    if (not all(1 <= t < _MAX_SLOTS for t in (t_i, t_alpha))
+            or not all(0 < x < math.inf for x in reals)):
+        raise ValueError("slots must lie in [1, 2**53), power and variances "
+                         "finite and > 0")
     return float(_rates(t_i, t_alpha, *reals))
 
 

@@ -287,6 +287,22 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, {"sweep": {"kind": "nonsense"}})
         assert main(["sweep", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("section", [
+        # 1,398,102 instances of 6 relays pad to 16,777,224 cells, just
+        # over 2^24; a million relays at the default count would be 16 GB.
+        {"count": 1_398_102, "m_max": 6}, {"m_max": 1_000_000}])
+    def test_over_budget_tightness_sweep_allocates_nothing(
+            self, tmp_path, monkeypatch, capsys, section):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an over-budget sweep allocated its array")
+
+        monkeypatch.setattr(cli.np, "zeros", forbidden)
+        cfg = write_config(tmp_path, {"sweep": {"kind": "tightness",
+                                                **section}})
+        assert main(["sweep", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
     def test_budget_breach_exit_code(self, tmp_path):
         cfg = write_config(tmp_path,
                            {"sweep": {"kind": "leakage", "m": 2,
@@ -436,6 +452,20 @@ BAD_CONFIGS = {
     "unread_channel_vars": ("wireless", '{"wireless": {"m": 2, '
                                         '"power_grid": [10.0], '
                                         '"channel_vars": [[1, 1], [1, 1]]}}'),
+    # Each of these exited 0 with Infinity or NaN in the output, or (the
+    # slot past int64) crashed with a numpy traceback.
+    "pair_mis_sum_overflow": ("capacity", '{"capacity": {"pair_mis": '
+                                          '[[1.0, 2.0], [1e308, 1e308], '
+                                          '[1e308, 1e308]]}}'),
+    "i_max_sum_overflow": ("sweep", '{"sweep": {"kind": "tightness", '
+                                    '"i_max": 1e308}}'),
+    "slot_past_int64": ("wireless", '{"wireless": {"m": 2, '
+                                    '"power_grid": [10.0], '
+                                    '"slot": 100000000000000000000}}'),
+    "block_len_past_2_to_53": ("wireless", '{"wireless": {"m": 2, '
+                                           '"power_grid": [10.0], '
+                                           '"optimize": true, '
+                                           f'"block_len": {2 ** 53}}}}}'),
 }
 
 
@@ -444,8 +474,26 @@ BAD_CONFIGS = {
 def test_bad_config_values_exit_2(tmp_path, capsys, command, text):
     path = tmp_path / "config.json"
     path.write_text(text)
-    assert main([*command.split(), "--config", str(path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main([*command.split(), "--config", str(path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_result_exits_4_and_writes_nothing(tmp_path, capsys,
+                                                      monkeypatch, value):
+    # main looks each runner up when it runs, so the stand-in is called.
+    monkeypatch.setattr(cli, "run_capacity",
+                        lambda block, seed, jobs: {"gap": value})
+    cfg = write_config(tmp_path, {"capacity": {"pair_mis": [[1, 1], [1, 1]]}})
+    out = tmp_path / "out.json"
+    assert main(["capacity", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 BAD_SEEDS = {

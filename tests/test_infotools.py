@@ -335,6 +335,20 @@ class TestEmpiricalMi:
         with pytest.raises(ValueError):
             empirical_mi([0, 1] * 600, [0, 1] * 600, bootstrap=0)
 
+    # bootstrap=True ran one resample and 2.5 raised a bare TypeError.
+    @pytest.mark.parametrize("bootstrap", [True, 2.5, "10", None])
+    def test_rejects_non_integer_bootstrap(self, bootstrap):
+        with pytest.raises(ValueError, match="bootstrap"):
+            empirical_mi([0, 1] * 600, [0, 1] * 600, bootstrap=bootstrap)
+
+    # 0.0 gave a zero-width interval; 2.0 and NaN failed inside np.quantile.
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 2.0, -0.5,
+                                            float("nan"), True, "0.9"])
+    def test_rejects_confidence_outside_unit_interval(self, confidence):
+        with pytest.raises(ValueError, match="confidence"):
+            empirical_mi([0, 1] * 600, [0, 1] * 600, bootstrap=10,
+                         confidence=confidence)
+
     def test_rejects_float_samples(self):
         # Truncated to integers, these floats would read as 1 bit of MI.
         x = np.random.Generator(np.random.PCG64(7)).uniform(0, 1.99, 2000)

@@ -80,6 +80,14 @@ class TestInstanceValidation:
             PinInstance(m=3, pairs=[PairSource.ideal_common(1, 1)] * 2,
                         params=ProtocolParams(n=1))
 
+    # These were accepted and failed only later, in sample.
+    @pytest.mark.parametrize("pairs", [
+        [1, 2], [PairSource.ideal_common(1, 1), (1, 1)],
+        [PairSource.ideal_common(1, 1), {"mode": "ideal_common"}]])
+    def test_rejects_pairs_that_are_not_pair_sources(self, pairs):
+        with pytest.raises(ValueError, match="PairSource"):
+            PinInstance(m=2, pairs=pairs)
+
     @pytest.mark.parametrize("m", [2.0, True, "2", None])
     def test_rejects_non_integer_relay_count(self, m):
         with pytest.raises(ValueError):

@@ -114,6 +114,16 @@ class TestCapacityArray:
         with pytest.raises(ValueError):
             rates.capacity(np.ones(shape))
 
+    # Finite values whose sum overflows gave inf, and inf minus the
+    # converse's inf a NaN gap.
+    def test_rejects_overflowing_total(self):
+        with pytest.raises(ValueError, match="overflows"):
+            rates.capacity([1.0, 1e308, 1e308])
+        batch = np.ones((4, 3))
+        batch[2] = [1.0, 1e308, 1e308]
+        with pytest.raises(ValueError, match="overflows"):
+            rates.capacity(batch)
+
 
 class TestConverseBound:
     def test_symmetric_two_relays(self):
@@ -200,6 +210,15 @@ class TestConverseArray:
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError):
             rates.converse_bound(np.ones(shape))
+
+    def test_rejects_overflowing_total(self):
+        pairs = [[1.0, 2.0], [1e308, 1e308], [1e308, 1e308]]
+        with pytest.raises(ValueError, match="overflows"):
+            rates.converse_bound(pairs)
+        with pytest.raises(ValueError, match="overflows"):
+            rates.converse_bound(np.array([pairs, np.ones((3, 2))]))
+        with pytest.raises(ValueError, match="overflows"):
+            rates.rate_report(pairs)
 
     @pytest.mark.parametrize("func", [rates.converse_bound,
                                       rates.rate_report])

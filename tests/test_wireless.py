@@ -74,6 +74,13 @@ class TestPairwiseRate:
         with pytest.raises(ValueError):
             pairwise_rate(*args)
 
+    # 2**53 and up: float slot products are no longer exact.
+    @pytest.mark.parametrize("t_i,t_alpha", [(2 ** 53, 1), (1, 10 ** 20),
+                                             (2 ** 63, 2 ** 63)])
+    def test_rejects_slots_past_2_to_53(self, t_i, t_alpha):
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            pairwise_rate(t_i, t_alpha, 10.0, 1.0, 1.0)
+
     def test_partial_derivative_signs(self):
         # Strictly increasing in slots, power and channel variance;
         # strictly decreasing in noise, at 100 random points.
@@ -134,6 +141,19 @@ class TestConfigValidation:
             WirelessConfig(m=1, power=1.0, noise_var=1.0,
                            channel_vars=[(1, 1)], block_len=3,
                            allocation=(1, 1, 1))
+
+    # A slot of 10**20 made an object array in key_rate and crashed
+    # with a numpy casting error.
+    @pytest.mark.parametrize("allocation", [
+        (2, 2, 2, 10 ** 20), (2 ** 53, 1, 1, 1),
+        (2 ** 51, 2 ** 51, 2 ** 51, 2 ** 51)])
+    def test_rejects_slots_and_block_len_past_2_to_53(self, allocation):
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            WirelessConfig(m=2, power=10.0, noise_var=1.0,
+                           channel_vars=[(1, 1), (1, 1)],
+                           block_len=sum(allocation), allocation=allocation)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            uniform_config(2, slot=10 ** 20, power=10.0)
 
     @pytest.mark.parametrize("allocation,channel_vars", [
         ((2.9, 2, 2, 2), [(1, 1), (1, 1)]),
