@@ -130,12 +130,12 @@ def _config_digest(config: dict) -> str:
 def _tightness_sweep(block: dict, seed: int) -> dict:
     """Capacity against the converse bound on ``count`` random instances.
 
-    Instance t draws its relay count M uniform on [m_min, m_max] and M
-    (Alice-side, Bob-side) MI pairs uniform on [0, i_max) from
-    PCG64(seed + t).  The instances are zero-padded to m_max relays,
-    which changes neither rate, and both rates are evaluated once over
-    the whole (count, m_max, 2) array; one over 2^24 cells raises
-    ``BudgetExceeded`` before it is allocated.
+    One PCG64(seed) stream draws every relay count M uniform on [m_min,
+    m_max], then m_max MI pairs per instance uniform on [0, i_max), the
+    ones past relay M zeroed.  Both rates are evaluated once over the
+    (count, m_max, 2) array; one over 2^24 cells raises ``BudgetExceeded``
+    before any draw.  Both subtract from one left-to-right total, and
+    fl(total - x) is monotone in x, so every gap is exactly 0.
     """
     count, m_min, m_max, i_max = (block[key] for key in _TIGHTNESS)
     if m_min < 2 or m_max < m_min or count < 1 or i_max <= 0.0:
@@ -144,14 +144,12 @@ def _tightness_sweep(block: dict, seed: int) -> dict:
         raise BudgetExceeded(
             f"tightness sweep pads {count} instances to {m_max} relays: "
             f"{count * m_max * 2:,} cells, over the 2^24 budget")
-    pair_mis = np.zeros((count, m_max, 2))
-    for t in range(count):
-        rng = np.random.Generator(np.random.PCG64(seed + t))
-        m = int(rng.integers(m_min, m_max + 1))
-        pair_mis[t, :m] = rng.uniform(0.0, i_max, size=(m, 2))
-    i_vals = np.minimum(pair_mis[..., 0], pair_mis[..., 1])
+    rng = np.random.Generator(np.random.PCG64(seed))
+    m = rng.integers(m_min, m_max + 1, size=count)
+    pair_mis = rng.uniform(0.0, i_max, size=(count, m_max, 2))
+    pair_mis[np.arange(m_max) >= m[:, None]] = 0.0
     try:
-        gaps = np.abs(rates.capacity(i_vals)
+        gaps = np.abs(rates.capacity(pair_mis.min(axis=-1))
                       - rates.converse_bound(pair_mis).bound)
     except ValueError as exc:
         raise ConfigError(f"tightness sweep: {exc}") from exc
@@ -372,8 +370,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except ValueError as exc:
                 raise InvariantViolation(f"{name} results: {exc}") from exc
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out: {exc}") from exc
         else:
             sys.stdout.write(text)
     except tuple(_EXITS) as exc:

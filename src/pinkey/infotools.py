@@ -179,12 +179,12 @@ def leakage_audit(codebook: RbCodebook, relay: int) -> LeakageAudit:
 
     The joint (K, W_m) counts come from the codebook's cached key array,
     counted in W_m-major blocks (:func:`_wm_major_counts`) and transposed
-    once into a C-contiguous (K, W_m) table.  The entropies come from the
-    integer counts (:func:`_entropy_terms`); the marginals are integer row
-    and column sums over ``total``, exact dyadic values, so every term
-    has the bits of :func:`exact_mi` on the float pmf ``counts / total``.
-    The (K, W_m) table is checked against the 2^24 budget before it is
-    allocated.
+    once into a C-contiguous (K, W_m) table, whose entropy comes from the
+    integer counts (:func:`_entropy_terms`) with the bits of
+    :func:`exact_mi` on the float pmf ``counts / total``.  The codebook
+    permutes the message space, so each bin holds 2^bin_bits codewords and
+    each W_m value 2^(total_bits - b_m): H(K) = key_bits and H(W_m) = b_m
+    exactly.  The table is checked against the 2^24 budget first.
     """
     relay = as_number(int, relay, "relay index")
     if not 0 <= relay < len(codebook.message_bits):
@@ -198,17 +198,14 @@ def leakage_audit(codebook: RbCodebook, relay: int) -> LeakageAudit:
     counts = _wm_major_counts(
         codebook_key_of_all(codebook), math.prod(shape[:relay]),
         shape[relay], math.prod(shape[relay + 1:]), codebook.key_bits)
-    h_key = entropy_bits(counts.sum(axis=0) / total)
-    h_wm_counted = entropy_bits(counts.sum(axis=1) / total)
     # The nonzero counts in (K, W_m) C order, the order the float pmf
     # sums them in; each table is freed as soon as it is read.
     counts = np.ascontiguousarray(counts.T)
     nz = counts[counts > 0]
     del counts
     h_joint, h_all_given_wm_key = _entropy_terms(nz, total)
-    mi = _clamped_mi(h_key + h_wm_counted - h_joint)
-
     h_wm = float(codebook.message_bits[relay])
+    mi = _clamped_mi(float(codebook.key_bits) + h_wm - h_joint)
     h_all_given_key = float(codebook.bin_bits)
     residual = abs(mi - (h_wm - h_all_given_key + h_all_given_wm_key))
     return LeakageAudit(relay=relay, mi_bits=mi, h_wm=h_wm,

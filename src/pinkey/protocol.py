@@ -266,21 +266,21 @@ def agree_keys(realization: SourceRealization,
                instance: PinInstance) -> Tuple[PairwiseKeys, Transcript]:
     """Algorithm step one: establish both pairwise keys at every relay.
 
-    Ideal-common pairs read their shared bits off directly with no public
-    transmission.  Noisy pairs run :func:`reconcile_pair` on each side;
-    the relay's syndrome message and the terminal's kept-block mask are
-    logged at their owners' rounds.  Raises
-    :class:`ReconciliationFailure` when a noisy pair ends with an empty
-    key on either side.
+    Ideal-common pairs keep the arrays :func:`model.sample` gave each
+    holder, with no copy and no public transmission.  Noisy pairs run
+    :func:`reconcile_pair` on each side; the relay's syndrome message and
+    the terminal's kept-block mask are logged at their owners' rounds.
+    Raises :class:`ReconciliationFailure` when a noisy pair ends with an
+    empty key on either side.
     """
     transcript = Transcript(instance.m)
     w_a, w_b, relay_w_a, relay_w_b = [], [], [], []
     for i, pair in enumerate(instance.pairs):
         if pair.mode == MODE_IDEAL:
-            w_a.append(realization.x_a[i].copy())
-            relay_w_a.append(realization.x_relays[i][0].copy())
-            w_b.append(realization.x_b[i].copy())
-            relay_w_b.append(realization.x_relays[i][1].copy())
+            w_a.append(realization.x_a[i])
+            relay_w_a.append(realization.x_relays[i][0])
+            w_b.append(realization.x_b[i])
+            relay_w_b.append(realization.x_relays[i][1])
             continue
         usable = (realization.n // _BLOCK) * _BLOCK
         if usable == 0:

@@ -90,8 +90,12 @@ def xor_baseline_rate(i_values: Sequence[float]) -> float:
 
     Each pair contributes the minimum of its two members; with an odd relay
     count the unpaired relay contributes zero.  Order-sensitive by design.
+    A sum that overflows a float raises ``ValueError``.
     """
-    return _xor_pairs(_validated(i_values).tolist())
+    total = _xor_pairs(_validated(i_values).tolist())
+    if not np.isfinite(total):
+        raise ValueError("the sum of the rate inputs overflows a float")
+    return total
 
 
 def _xor_pairs(vals: List[float]) -> float:

@@ -184,12 +184,12 @@ def key_rate(config: WirelessConfig) -> WirelessRateReport:
 def _relay_compositions(m: int, block_len: int):
     """Relay slot counts of every allocation, grouped by relay budget.
 
-    Returns ``(rel, budget)``.  Column c of the (M, C(T-2, M)) array
-    ``rel`` is one way (t_1, ..., t_M) to give every relay at least one
-    slot, and ``budget[c]`` is its total R.  Budgets run from T-2 down to
-    M and each budget's compositions come in lexicographic order, so the
-    columns with R <= K are the last C(K, M).  Both arrays use the
-    narrowest unsigned dtype that holds T-2.
+    Column c of the returned (M, C(T-2, M)) array is one way
+    (t_1, ..., t_M) to give every relay at least one slot.  Its total, the
+    relay budget R, runs from T-2 down to M and each budget's
+    compositions come in lexicographic order, so the columns with R <= K
+    are the last C(K, M).  The array uses the narrowest unsigned dtype
+    that holds T-2.
 
     Filled in place from the last relay up: the trailing q relays of the
     first C(top, q) columns hold every q-part composition of a budget of
@@ -214,10 +214,7 @@ def _relay_compositions(m: int, block_len: int):
             rel[row, pos:pos + n] = np.repeat(
                 np.arange(1, b - q + 2, dtype=dtype), counts[top - b:])
             pos += n
-    budget = np.repeat(np.arange(block_len - 2, m - 1, -1, dtype=dtype),
-                       [math.comb(b - 1, m - 1)
-                        for b in range(block_len - 2, m - 1, -1)])
-    return rel, budget
+    return rel
 
 
 def _rate_table(m: int, block_len: int, power: float, noise_var: float,
@@ -307,7 +304,7 @@ def optimize_allocation(m: int, block_len: int, power: float,
             f"compositions, over the {_EXHAUSTIVE_LIMIT:,} budget")
     tab = _rate_table(m, block_len, config.power, config.noise_var,
                       config.channel_vars)
-    rel, budget = _relay_compositions(m, block_len)
+    rel = _relay_compositions(m, block_len)
     stride = tab.shape[-1]
     # per side, [t_alpha, i, t_i]: one terminal slot's rates, relay-major
     side_a, side_b = tab.transpose(1, 3, 0, 2)
@@ -336,8 +333,8 @@ def optimize_allocation(m: int, block_len: int, power: float,
             j = int(np.argmax(r_key))
             if r_key[j] > best_rate:
                 best_rate = float(r_key[j])
-                best = (t_a, block_len - t_a - int(budget[lo + j]),
-                        *rel[:, lo + j].tolist())
+                t_rel = rel[:, lo + j].tolist()
+                best = (t_a, block_len - t_a - sum(t_rel), *t_rel)
     return AllocationResult(best, best_rate, "exhaustive")
 
 

@@ -44,6 +44,22 @@ class TestCapacityCommand:
         assert doc["seed"] == 1
         assert len(doc["config_digest"]) == 64
 
+    @pytest.mark.parametrize("out", ["missing/out.json", "."])
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys, out):
+        # A missing directory, and a directory in place of a file: each
+        # ended in a traceback with exit 1.
+        cfg = write_config(tmp_path,
+                           {"capacity": {"pair_mis": [[1.0, 1.5],
+                                                      [1.0, 2.0]]}})
+        before = sorted(tmp_path.iterdir())
+        assert main(["capacity", "--config", cfg,
+                     "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: cannot write --out")
+        assert captured.err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_single_relay_rejected(self, tmp_path):
         cfg = write_config(tmp_path,
                            {"capacity": {"pair_mis": [[1.0, 1.0]]}})
@@ -294,9 +310,9 @@ class TestSweepCommand:
     def test_over_budget_tightness_sweep_allocates_nothing(
             self, tmp_path, monkeypatch, capsys, section):
         def forbidden(*args, **kwargs):
-            raise AssertionError("an over-budget sweep allocated its array")
+            raise AssertionError("an over-budget sweep drew its instances")
 
-        monkeypatch.setattr(cli.np, "zeros", forbidden)
+        monkeypatch.setattr(cli.np.random, "Generator", forbidden)
         cfg = write_config(tmp_path, {"sweep": {"kind": "tightness",
                                                 **section}})
         assert main(["sweep", "--config", cfg]) == 3

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 
 from pinkey import rates
 
@@ -147,6 +149,38 @@ class TestConverseBound:
                        - rates.capacity(i_vals)) <= 1e-12
 
 
+def _max_flow_without(pairs, m):
+    """A-B max-flow of the A-relay-B graph with relay m removed: node 0 is
+    Alice, node 1 Bob, node 2 + i relay i, every edge both ways with the
+    pair MI as its capacity."""
+    rows, cols, caps = [], [], []
+    for i, (i_a, i_b) in enumerate(pairs):
+        if i != m:
+            for u, v, c in ((0, 2 + i, i_a), (2 + i, 1, i_b)):
+                rows += [u, v]
+                cols += [v, u]
+                caps += [c, c]
+    nodes = 2 + len(pairs)
+    graph = csr_matrix((np.array(caps, dtype=np.int32), (rows, cols)),
+                       shape=(nodes, nodes))
+    return maximum_flow(graph, 0, 1).flow_value
+
+
+class TestConverseMaxFlowOracle:
+    def test_cuts_equal_max_flow_without_each_relay(self):
+        # Giving relay m's sources to Eve leaves the network without
+        # relay m, whose min cut bounds the key; integer MIs make every
+        # float sum exact, so the comparison is exact.
+        rng = np.random.Generator(np.random.PCG64(2015))
+        for _ in range(300):
+            m = int(rng.integers(2, 7))
+            pairs = rng.integers(0, 1000, size=(m, 2)).tolist()
+            flows = [_max_flow_without(pairs, k) for k in range(m)]
+            res = rates.converse_bound(pairs)
+            assert res.per_m_cuts == flows
+            assert res.bound == min(flows)
+
+
 class TestConverseArray:
     def test_rows_equal_one_instance_calls_exactly(self):
         rng = np.random.Generator(np.random.PCG64(9))
@@ -245,6 +279,12 @@ class TestXorBaseline:
     def test_order_sensitive(self):
         assert rates.xor_baseline_rate([0.0, 1.0, 1.0, 0.0]) == 0.0
         assert rates.xor_baseline_rate([1.0, 1.0, 0.0, 0.0]) == 1.0
+
+    def test_rejects_overflowing_sum(self):
+        # Each pair minimum is finite; their sum is not.
+        with pytest.raises(ValueError, match="overflows"):
+            rates.xor_baseline_rate([1e308] * 4)
+        assert rates.xor_baseline_rate([1e308] * 3) == 1e308
 
     @given(i_lists)
     def test_never_exceeds_capacity(self, vals):

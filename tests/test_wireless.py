@@ -280,10 +280,10 @@ class TestOptimizeAllocation:
     def test_composition_count(self):
         for m, block_len in [(2, 4), (2, 11), (3, 13), (4, 20), (5, 14),
                              (2, 257), (2, 258)]:
-            rel, budget = wireless._relay_compositions(m, block_len)
-            assert rel.dtype == budget.dtype == (
-                np.uint8 if block_len <= 257 else np.uint16)
+            rel = wireless._relay_compositions(m, block_len)
+            assert rel.dtype == (np.uint8 if block_len <= 257 else np.uint16)
             assert rel.shape == (m, math.comb(block_len - 2, m))
+            budget = rel.sum(axis=0)
             start = 0
             for r in range(block_len - 2, m - 1, -1):
                 want = list(_compositions(r, m))
@@ -292,7 +292,7 @@ class TestOptimizeAllocation:
                     == want
                 assert (budget[start:stop] == r).all()
                 start = stop
-            assert start == rel.shape[1] == budget.size
+            assert start == rel.shape[1]
 
     def test_budgets_wider_than_one_byte(self):
         # T=258 puts relay budgets up to 256 in two-byte slot counts.  The
@@ -640,6 +640,24 @@ class TestMcEstimateCheck:
                  for s in range(20)]
         assert np.mean(large) < 0.6 * np.mean(small)
 
+    def test_bob_side(self):
+        # Relay 0 sees Alice over a weak, short link and Bob over a
+        # strong, long one, so the two sides' rates are far apart.
+        cfg = WirelessConfig(m=2, power=2.0, noise_var=1.0,
+                             channel_vars=[(0.5, 3.0), (1.0, 1.0)],
+                             block_len=11, allocation=[1, 6, 2, 2])
+        rate_a = wireless.pairwise_rate(2, 1, 2.0, 1.0, 0.5)
+        rate_b = wireless.pairwise_rate(2, 6, 2.0, 1.0, 3.0)
+        assert rate_b > 3.0 * rate_a
+        res = mc_estimate_check(cfg, 0, 1_000_000, seed=7, side="B")
+        assert not res.degenerate
+        assert res.formula_value == rate_b
+        assert res.gap / rate_b < 0.02
+        assert abs(res.mi_estimate - rate_a) / rate_b > 0.5
+        res_a = mc_estimate_check(cfg, 0, 1_000_000, seed=7, side="A")
+        assert res_a.formula_value == rate_a
+        assert res_a.gap / rate_a < 0.02
+
     def test_rejects_bad_inputs(self):
         cfg = uniform_config(2)
         with pytest.raises(ValueError):
@@ -649,3 +667,6 @@ class TestMcEstimateCheck:
                                     (0, "100000")]:
             with pytest.raises(ValueError):
                 mc_estimate_check(cfg, pair_index, samples)
+        for side in ["C", "a", "", None, 0]:
+            with pytest.raises(ValueError, match="side"):
+                mc_estimate_check(cfg, 0, 100_000, side=side)
