@@ -36,9 +36,10 @@ _REQUIRED = object()
 # the block named by its kind.
 _TIGHTNESS = {"count": (int, 1000), "m_min": (int, 2), "m_max": (int, 6),
               "i_max": (float, 4.0)}
-# Cells of the tightness sweep's padded array, the scale of the audit's
-# table budget.
+# Cells of the tightness sweep's padded array (the scale of the audit's
+# table budget), and of the slice of it evaluated at once.
 _TIGHTNESS_CELLS = 1 << 24
+_TIGHTNESS_CHUNK_CELLS = 1 << 18
 _BLOCKS = {
     "root": {"seed": (int, 0), "capacity": (dict, None),
              "protocol": (dict, None), "wireless": (dict, None),
@@ -132,10 +133,12 @@ def _tightness_sweep(block: dict, seed: int) -> dict:
 
     One PCG64(seed) stream draws every relay count M uniform on [m_min,
     m_max], then m_max MI pairs per instance uniform on [0, i_max), the
-    ones past relay M zeroed.  Both rates are evaluated once over the
-    (count, m_max, 2) array; one over 2^24 cells raises ``BudgetExceeded``
-    before any draw.  Both subtract from one left-to-right total, and
-    fl(total - x) is monotone in x, so every gap is exactly 0.
+    ones past relay M zeroed.  The pairs are drawn and both rates
+    evaluated over slices of the (count, m_max, 2) array of at most 2^18
+    cells, in stream order, so memory stays flat in ``count``; a whole
+    array over 2^24 cells raises ``BudgetExceeded`` before any draw.
+    Both rates subtract from one left-to-right total, and fl(total - x)
+    is monotone in x, so every gap is exactly 0.
     """
     count, m_min, m_max, i_max = (block[key] for key in _TIGHTNESS)
     if m_min < 2 or m_max < m_min or count < 1 or i_max <= 0.0:
@@ -146,16 +149,21 @@ def _tightness_sweep(block: dict, seed: int) -> dict:
             f"{count * m_max * 2:,} cells, over the 2^24 budget")
     rng = np.random.Generator(np.random.PCG64(seed))
     m = rng.integers(m_min, m_max + 1, size=count)
-    pair_mis = rng.uniform(0.0, i_max, size=(count, m_max, 2))
-    pair_mis[np.arange(m_max) >= m[:, None]] = 0.0
-    try:
-        gaps = np.abs(rates.capacity(pair_mis.min(axis=-1))
-                      - rates.converse_bound(pair_mis).bound)
-    except ValueError as exc:
-        raise ConfigError(f"tightness sweep: {exc}") from exc
-    return {"count": count,
-            "tightness_failures": int(np.count_nonzero(gaps > 1e-12)),
-            "max_gap": float(gaps.max())}
+    chunk = max(_TIGHTNESS_CHUNK_CELLS // (m_max * 2), 1)
+    failures, max_gap = 0, 0.0
+    for lo in range(0, count, chunk):
+        m_chunk = m[lo:lo + chunk]
+        pair_mis = rng.uniform(0.0, i_max, size=(m_chunk.size, m_max, 2))
+        pair_mis[np.arange(m_max) >= m_chunk[:, None]] = 0.0
+        try:
+            gaps = np.abs(rates.capacity(pair_mis.min(axis=-1))
+                          - rates.converse_bound(pair_mis).bound)
+        except ValueError as exc:
+            raise ConfigError(f"tightness sweep: {exc}") from exc
+        failures += int(np.count_nonzero(gaps > 1e-12))
+        max_gap = max(max_gap, float(gaps.max()))
+    return {"count": count, "tightness_failures": failures,
+            "max_gap": max_gap}
 
 
 def _leakage_task(args) -> float:

@@ -11,7 +11,7 @@ built on the Hamming(7,4) code: the relay publishes per-block syndromes
 plus a per-block parity checksum; the terminal corrects single errors,
 and blocks whose checksum fails after correction are discarded (the
 terminal publishes the kept-block mask).  Retained information bits are
-then compressed through a fixed public binary Toeplitz hash, dropping
+then compressed through a fixed public binary Toeplitz hash T, dropping
 ceil(7 * h2(p) / 4) bits per retained block.  The achieved rate is
 sub-capacity and is reported as such.
 
@@ -19,6 +19,12 @@ The hash is evaluated as an exact FFT convolution in float64, so its time
 is O(n log n) and its memory linear in n; every convolution entry is an
 integer count that must round cleanly, and an entry more than 0.25 from
 an integer raises :class:`InvariantViolation` instead of a wrong key.
+
+Each pairwise key is hashed once.  The terminal's corrected bits are the
+relay's XOR the residual flips e left after correction, and T is linear
+over GF(2), so the terminal's key is T @ x_relay XOR T @ e.  T @ e is the
+XOR of the columns of T at the ones of e, or, when e is too dense for
+that to beat one more FFT row, a second row of the same FFT call.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,13 +138,30 @@ class ReconcileResult:
     dropped_bits: int
 
 
-def _toeplitz_hash(bits: np.ndarray, out_len: int) -> np.ndarray:
+def _toeplitz_diag(k: int, out_len: int) -> np.ndarray:
+    """The ``out_len + k - 1`` diagonals of the public Toeplitz matrix
+    for ``k`` input bits, drawn from the compression seed and ``(k,
+    out_len)``."""
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=_COMPRESSION_SEED,
+                               spawn_key=(k, out_len))))
+    return rng.integers(0, 2, size=out_len + k - 1, dtype=np.uint8)
+
+
+def _fft_size(k: int, out_len: int) -> int:
+    """Circular convolution length of the hash: the smallest power of two
+    at least ``out_len + k - 1``."""
+    return 1 << (out_len + k - 2).bit_length()
+
+
+def _toeplitz_hash(bits: np.ndarray, out_len: int,
+                   diag: Optional[np.ndarray] = None) -> np.ndarray:
     """Fixed public universal-hash compression of each row to out_len bits.
 
     ``bits`` is a ``(rows, k)`` 0/1 array and the result is ``(rows,
     out_len)`` uint8.  Every row goes through the same ``out_len x k``
-    Toeplitz matrix ``T[i, j] = diag[i - j + k - 1]``, with ``diag`` drawn
-    from the public compression seed and ``(k, out_len)``.  ``T @ x`` is
+    Toeplitz matrix ``T[i, j] = diag[i - j + k - 1]``, with ``diag`` from
+    :func:`_toeplitz_diag` unless the caller has drawn it.  ``T @ x`` is
     entries ``[k - 1, k - 1 + out_len)`` of the linear convolution
     ``diag * x``, which a circular convolution of length at least
     ``out_len + k - 1`` reproduces there without wrap-around; it is
@@ -149,11 +172,9 @@ def _toeplitz_hash(bits: np.ndarray, out_len: int) -> np.ndarray:
     rows, k = bits.shape
     if out_len <= 0 or k == 0:
         return np.zeros((rows, max(out_len, 0)), dtype=np.uint8)
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=_COMPRESSION_SEED,
-                               spawn_key=(k, out_len))))
-    diag = rng.integers(0, 2, size=out_len + k - 1, dtype=np.uint8)
-    size = 1 << (diag.size - 1).bit_length()
+    if diag is None:
+        diag = _toeplitz_diag(k, out_len)
+    size = _fft_size(k, out_len)
     spectrum = np.fft.rfft(bits, size)
     spectrum *= np.fft.rfft(diag, size)
     conv = np.fft.irfft(spectrum, size)[:, k - 1:k - 1 + out_len]
@@ -165,7 +186,42 @@ def _toeplitz_hash(bits: np.ndarray, out_len: int) -> np.ndarray:
         raise InvariantViolation(f"Toeplitz hash entry {residual:.3g} away "
                                  f"from an integer (k={k}, "
                                  f"out_len={out_len})")
-    return (counts % 2).astype(np.uint8)
+    return (counts.astype(np.int64) & 1).astype(np.uint8)
+
+
+# Cost model of the terminal key, from timing numpy on x86: XOR-ing one
+# Toeplitz column into the key costs about as much as XOR-ing
+# _XOR_CALL_BYTES more bytes, and one more FFT row about as much as
+# XOR-ing _FFT_POINT_BYTES bytes per point and per bit of the FFT length.
+_XOR_CALL_BYTES = 1 << 14
+_FFT_POINT_BYTES = 1 << 5
+
+
+def _toeplitz_hash_pair(raw: np.ndarray, flips: np.ndarray,
+                        out_len: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(T @ (raw ^ flips), T @ raw)`` under the hash of
+    :func:`_toeplitz_hash`, with one draw of ``diag``.
+
+    The hash is linear over GF(2), so the first key is the second XOR the
+    columns ``T[:, j] = diag[k - 1 - j : k - 1 - j + out_len]`` at the ones
+    j of ``flips``.  While those XORs cost less than one more FFT row (a
+    rule on the flip count, ``out_len`` and the FFT length), ``raw`` is the
+    only FFT row; otherwise ``flips`` is hashed as a second row.
+    """
+    k = raw.size
+    cols = k - 1 - np.flatnonzero(flips)
+    size = _fft_size(k, out_len)
+    # An empty key takes _toeplitz_hash's empty branch and draws nothing.
+    if (out_len <= 0 or k == 0 or cols.size * (out_len + _XOR_CALL_BYTES)
+            > _FFT_POINT_BYTES * size * size.bit_length()):
+        keys = _toeplitz_hash(np.stack([raw, flips]), out_len)
+        return keys[0] ^ keys[1], keys[0]
+    diag = _toeplitz_diag(k, out_len)
+    key_relay = _toeplitz_hash(raw[None], out_len, diag)[0]
+    key_terminal = key_relay.copy()
+    for start in cols:
+        key_terminal ^= diag[start:start + out_len]
+    return key_terminal, key_relay
 
 
 def compression_drop_per_block(crossover: float) -> int:
@@ -183,6 +239,13 @@ def reconcile_pair(seq_terminal, seq_relay,
     information positions of each surviving block and compress them
     through the fixed public hash.  ``crossover`` must lie in [0, 0.5],
     the range :class:`model.PairSource` allows.
+
+    The syndrome and parity differences are the same product of the flip
+    pattern ``term ^ relay``, so correction runs on that pattern; what is
+    left of it afterwards is exactly where the corrected terminal block
+    still differs from the relay's.  Only the relay's bits are hashed;
+    the terminal's key follows from them and the residual flips
+    (:func:`_toeplitz_hash_pair`).
     """
     crossover = as_number(float, crossover, "crossover")
     if not 0.0 <= crossover <= 0.5:
@@ -195,31 +258,32 @@ def reconcile_pair(seq_terminal, seq_relay,
         raise ValueError(f"sequence length must be a positive multiple "
                          f"of {_BLOCK}")
 
-    term_blocks = term.reshape(-1, _BLOCK).copy()
+    flips = (term ^ relay).reshape(-1, _BLOCK)
     relay_blocks = relay.reshape(-1, _BLOCK)
 
     relay_public = relay_blocks @ _PUBLIC % 2
-    diff = (term_blocks @ _PUBLIC + relay_public) % 2
+    diff = flips @ _PUBLIC % 2
 
     # A nonzero syndrome difference names one position to flip (1-based).
     err_pos = diff[:, :3] @ np.array([1, 2, 4])
     corrected = np.flatnonzero(err_pos)
-    term_blocks[corrected, err_pos[corrected] - 1] ^= 1
+    flips[corrected, err_pos[corrected] - 1] ^= 1
 
     # A correction flips the block parity, so the corrected block passes
     # the parity check exactly when the parity bits differ iff a bit was
     # flipped.
     kept = diff[:, 3] == (err_pos != 0)
 
-    raw = np.stack([term_blocks[kept][:, _INFO_POSITIONS].ravel(),
-                    relay_blocks[kept][:, _INFO_POSITIONS].ravel()])
+    raw = relay_blocks[:, _INFO_POSITIONS][kept].ravel()
     n_kept = int(kept.sum())
     drop = compression_drop_per_block(crossover) * n_kept
-    raw_bits = raw.shape[1]
-    keys = _toeplitz_hash(raw, max(raw_bits - drop, 0))
+    raw_bits = raw.size
+    key_terminal, key_relay = _toeplitz_hash_pair(
+        raw, flips[:, _INFO_POSITIONS][kept].ravel(),
+        max(raw_bits - drop, 0))
     return ReconcileResult(
-        key_terminal=keys[0],
-        key_relay=keys[1],
+        key_terminal=key_terminal,
+        key_relay=key_relay,
         syndrome_bits=relay_public.ravel(),
         kept_mask=kept.astype(np.uint8),
         corrected_blocks=int(np.count_nonzero(kept[corrected])),

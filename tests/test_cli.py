@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -223,6 +224,23 @@ class TestSweepCommand:
         table = json.loads(out.read_text())["results"]["table"]
         assert len(table) == 2
         assert all(row["mean_max_leakage_bits"] >= 0.0 for row in table)
+
+    def test_tightness_sweep_memory_flat_in_count(self):
+        # At the 2^24-cell budget the whole (count, 6, 2) array of MI
+        # pairs is 128 MiB, and evaluating it at once peaked at 288 MiB.
+        # Only the int64 relay counts grow with count; each slice of
+        # pairs holds at most 2^18 cells (2 MiB).
+        count = 1_398_101
+        block = {"count": count, "m_min": 2, "m_max": 6, "i_max": 4.0}
+        tracemalloc.start()
+        try:
+            result = cli._tightness_sweep(block, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == {"count": count, "tightness_failures": 0,
+                          "max_gap": 0.0}
+        assert peak < 8 * count + (8 << 20)
 
     def test_tightness_sweep_ignores_jobs(self, tmp_path):
         cfg = write_config(tmp_path, {"sweep": {"kind": "tightness",

@@ -57,6 +57,16 @@ class TestBuildCodebook:
         with pytest.raises(BudgetExceeded):
             build_codebook([13, 13], 4, seed=0)
 
+    def test_one_bit_over_budget_draws_nothing(self, monkeypatch):
+        # 2^25 codewords, one bit past the budget: the check must come
+        # before the permutation, which would take 256 MiB.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an over-budget codebook drew a permutation")
+
+        monkeypatch.setattr(np.random, "Generator", forbidden)
+        with pytest.raises(BudgetExceeded):
+            build_codebook([13, 12], 0, 0)
+
     @pytest.mark.parametrize("widths,key_bits", [
         ([2.5, 1], 1), ([2.0, 1], 1), ([True, 1], 1), (["2", 1], 1),
         ([2, 1], 1.5), ([2, 1], 1.0), ([2, 1], True), ([2, 1], None)])

@@ -34,6 +34,8 @@ def test_key_bits_for_rejects_negative_slack():
     # -2 slack bits would give 5 key bits from the 3 bits of the M-1
     # smallest widths.
     assert pipeline.key_bits_for([3, 3], 0) == 3
+    # More slack than key bits floors at zero, not at one.
+    assert pipeline.key_bits_for([1, 1], 3) == 0
     with pytest.raises(ValueError):
         pipeline.key_bits_for([3, 3], -2)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -34,15 +35,67 @@ def _toeplitz_diag(k, out_len):
 
 
 def _toeplitz_oracle(bits, out_len):
-    """The compression hash as a dense out_len x k matrix product."""
+    """The compression hash as a dense out_len x k matrix product.
+
+    Row i of ``T[i, j] = diag[i - j + k - 1]`` is the window
+    ``diag[i : i + k]`` reversed, so the matrix is a strided view of
+    ``diag`` and costs no memory of its own."""
     bits = as_bits(bits)
     if out_len <= 0:
         return np.zeros(0, dtype=np.uint8)
     diag = _toeplitz_diag(bits.size, out_len)
-    rows = np.arange(out_len)[:, None]
-    cols = np.arange(bits.size)[None, :]
-    matrix = diag[rows - cols + bits.size - 1]
-    return (matrix @ bits % 2).astype(np.uint8)
+    matrix = np.lib.stride_tricks.sliding_window_view(diag, bits.size)
+    return (matrix[:, ::-1] @ bits % 2).astype(np.uint8)
+
+
+def _syndrome(block):
+    """Hamming(7,4) syndrome of a 7-bit list: the XOR of j+1 over the
+    set positions j."""
+    value = 0
+    for j, bit in enumerate(block):
+        if bit:
+            value ^= j + 1
+    return value
+
+
+def _h2(p):
+    return 0.0 if p in (0.0, 1.0) else (
+        -p * math.log2(p) - (1 - p) * math.log2(1 - p))
+
+
+def _reconcile_oracle(term, relay, crossover):
+    """Terminal and relay keys of :func:`reconcile_pair`, block by block in
+    plain Python: flip the position the syndrome difference names, keep
+    the block if the parities then agree, and hash each side's kept bits
+    at positions 2, 4, 5 and 6 with :func:`_toeplitz_oracle`."""
+    kept_term, kept_relay = [], []
+    for start in range(0, len(term), 7):
+        t, r = list(term[start:start + 7]), list(relay[start:start + 7])
+        pos = _syndrome(t) ^ _syndrome(r)
+        if pos:
+            t[pos - 1] ^= 1
+        if sum(t) % 2 == sum(r) % 2:
+            kept_term += [t[j] for j in (2, 4, 5, 6)]
+            kept_relay += [r[j] for j in (2, 4, 5, 6)]
+    blocks = len(kept_relay) // 4
+    out_len = max(4 * blocks - math.ceil(7 * _h2(crossover) / 4) * blocks, 0)
+    return (_toeplitz_oracle(kept_term, out_len),
+            _toeplitz_oracle(kept_relay, out_len))
+
+
+def _count_fft_rows(monkeypatch):
+    """Patch ``np.fft.rfft`` to count the 2-D rows it transforms (the
+    hashed rows; the diagonal is a 1-D call).  Returns the count list."""
+    rows = []
+    rfft = np.fft.rfft
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            rows.append(np.shape(a)[0])
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    return rows
 
 
 class TestTranscript:
@@ -260,6 +313,60 @@ class TestReconcilePair:
         with pytest.raises(ValueError):
             reconcile_pair([0] * 6, [0] * 6, 0.1)
 
+    # Flips at positions 0, 2 and 4 have syndrome 1 ^ 3 ^ 5 = 7: the
+    # terminal flips position 6 as well and keeps a block that still
+    # differs from the relay's at positions 0, 2, 4 and 6, a codeword.
+    WEIGHT_THREE = [1, 0, 1, 0, 1, 0, 0]
+    # Few residuals against a long key: the relay's row is the only FFT
+    # row.  Half the kept bits wrong: the residual is a second row of the
+    # same call.
+    FFT_ROWS = {(7000, 0.01): 1, (7000, 0.05): 1, (700, 0.5): 2,
+                (7000, 0.5): 2}
+
+    @pytest.mark.parametrize("n", [7, 700, 7000])
+    @pytest.mark.parametrize("crossover", [0.01, 0.05, 0.1, 0.2, 0.5])
+    def test_keys_equal_plain_block_oracle(self, n, crossover, monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(int(n + 1000 * crossover)))
+        relay = rng.integers(0, 2, n, dtype=np.uint8)
+        flips = (rng.random(n) < crossover).astype(np.uint8)
+        # Residuals on the first and the last raw bit: positions 2 of the
+        # first block and 6 of the last.
+        flips[:7] = flips[-7:] = self.WEIGHT_THREE
+        term = relay ^ flips
+        rows = _count_fft_rows(monkeypatch)
+        res = reconcile_pair(term, relay, crossover)
+        want_term, want_relay = _reconcile_oracle(term, relay, crossover)
+        assert res.kept_mask[0] and res.kept_mask[-1]
+        assert res.key_terminal.dtype == res.key_relay.dtype == np.uint8
+        assert (res.key_terminal == want_term).all()
+        assert (res.key_relay == want_relay).all()
+        assert want_term.size == want_relay.size == res.key_relay.size > 0
+        assert (want_term != want_relay).any()
+        assert rows in ([1], [2])
+        if (n, crossover) in self.FFT_ROWS:
+            assert rows == [self.FFT_ROWS[n, crossover]]
+
+    @pytest.mark.parametrize("k,out_len,flip_count,fft_rows", [
+        (4000, 3000, 0, 1), (4000, 3000, 1, 1), (4000, 3000, 40, 1),
+        (4000, 3000, 2000, 2), (4000, 1, 4000, 2), (8, 5, 3, 2),
+        (1, 1, 1, 2), (1, 1, 0, 1), (3, 0, 2, 0)])
+    def test_hash_pair_equals_oracle(self, k, out_len, flip_count, fft_rows,
+                                     monkeypatch):
+        rng = np.random.Generator(np.random.PCG64(k + out_len + flip_count))
+        raw = rng.integers(0, 2, k, dtype=np.uint8)
+        flips = np.zeros(k, dtype=np.uint8)
+        inner = rng.permutation(np.arange(1, k - 1))
+        flips[inner[:max(flip_count - 2, 0)]] = 1
+        flips[[0, -1][:flip_count]] = 1   # the first and the last column
+        assert flips.sum() == flip_count
+        rows = _count_fft_rows(monkeypatch)
+        key_term, key_relay = protocol._toeplitz_hash_pair(raw, flips,
+                                                           out_len)
+        assert sum(rows) == fft_rows
+        assert key_term.shape == key_relay.shape == (out_len,)
+        assert (key_term == _toeplitz_oracle(raw ^ flips, out_len)).all()
+        assert (key_relay == _toeplitz_oracle(raw, out_len)).all()
+
 
 # (k, out_len): empty input, one bit, more output than input, and
 # convolution lengths out_len + k - 1 and inputs k one below, at and one
@@ -341,6 +448,22 @@ class TestAgreeKeysNoisy:
         inst = dsbs_instance([0.1, 0.1], n=5)
         with pytest.raises(ReconciliationFailure):
             agree_keys(model.sample(inst, 0), inst)
+
+    def test_every_block_discarded_fails(self):
+        # Two flips in each of Alice's two blocks of pair 2: both fail
+        # the parity check, no raw bit survives and the key is empty.
+        inst = dsbs_instance([0.1, 0.1], n=14)
+        real = model.sample(inst, 0)
+        relay = real.x_relays[1][0]
+        real.x_a[1] = relay ^ np.array([1, 1, 0, 0, 0, 0, 0,
+                                        0, 0, 0, 1, 0, 0, 1], dtype=np.uint8)
+        real.x_a[0][:] = real.x_relays[0][0]
+        for i in range(2):
+            real.x_b[i][:] = real.x_relays[i][1]
+        with pytest.raises(ReconciliationFailure) as info:
+            agree_keys(real, inst)
+        assert info.value.pair_index == 1
+        assert "no key bits survived" in str(info.value)
 
     def test_monte_carlo_agreement_rate_golden(self):
         # 1000 seeded trials, two pairs at crossover 0.05, 64 blocks per
