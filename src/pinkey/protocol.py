@@ -54,8 +54,11 @@ _INFO_POSITIONS = np.array([2, 4, 5, 6])  # non-power-of-two columns
 _H = np.array([[(j + 1) >> k & 1 for j in range(_BLOCK)] for k in range(3)],
               dtype=np.uint8)
 # The relay's public bits per block: the three syndrome bits, then the
-# block parity (an all-ones row), in one product.
-_PUBLIC = np.vstack([_H, np.ones(_BLOCK, dtype=np.uint8)]).T
+# block parity (an all-ones row), in one product.  Float32, because
+# numpy multiplies integer matrices without BLAS; every sum is at most 7,
+# so the float product is exact.
+_PUBLIC = np.vstack([_H, np.ones(_BLOCK, dtype=np.uint8)]).T.astype(
+    np.float32)
 
 
 def relay_sender(i: int) -> str:
@@ -228,6 +231,11 @@ def compression_drop_per_block(crossover: float) -> int:
     return math.ceil(_BLOCK * binary_entropy(crossover) / 4.0)
 
 
+def _public_bits(blocks: np.ndarray) -> np.ndarray:
+    """Syndrome and parity bits (uint8) of each row of 7-bit blocks."""
+    return (blocks.astype(np.float32) @ _PUBLIC).astype(np.uint8) & 1
+
+
 def reconcile_pair(seq_terminal, seq_relay,
                    crossover: float) -> ReconcileResult:
     """Syndrome-based one-way reconciliation of two correlated sequences.
@@ -261,8 +269,8 @@ def reconcile_pair(seq_terminal, seq_relay,
     flips = (term ^ relay).reshape(-1, _BLOCK)
     relay_blocks = relay.reshape(-1, _BLOCK)
 
-    relay_public = relay_blocks @ _PUBLIC % 2
-    diff = flips @ _PUBLIC % 2
+    relay_public = _public_bits(relay_blocks)
+    diff = _public_bits(flips)
 
     # A nonzero syndrome difference names one position to flip (1-based).
     err_pos = diff[:, :3] @ np.array([1, 2, 4])

@@ -327,6 +327,15 @@ class TestEmpiricalMi:
         y = rng.integers(0, 200, 2000)
         assert empirical_mi(x, y, bootstrap=10).unreliable
 
+    def test_unreliable_threshold_is_strict(self):
+        # A 10 x 10 joint alphabet over 1,000 samples is exactly a tenth
+        # of the sample count, which is still reliable; 11 x 10 is not.
+        x = np.arange(1000) % 10
+        y = np.arange(1000) // 100
+        assert not empirical_mi(x, y, bootstrap=10).unreliable
+        assert empirical_mi(np.minimum(x + y, 10), y,
+                            bootstrap=10).unreliable
+
     def test_rejects_short_samples(self):
         with pytest.raises(ValueError):
             empirical_mi([0, 1] * 100, [0, 1] * 100)

@@ -115,6 +115,13 @@ class TestInstanceValidation:
         params = ProtocolParams(n=np.int64(3), epsilon_bits=np.uint8(0))
         assert (params.n, params.epsilon_bits) == (3, 0)
 
+    def test_library_defaults(self):
+        # One withheld key bit, and a one-symbol blocklength for an
+        # instance built without parameters.
+        assert ProtocolParams(n=5).epsilon_bits == 1
+        inst = PinInstance(m=2, pairs=[PairSource.ideal_common(1, 1)] * 2)
+        assert inst.params == ProtocolParams(n=1)
+
 
 class TestSampling:
     def test_ideal_common_shared_exactly(self):

@@ -26,20 +26,31 @@ def _rate_oracle(t_i, t_a, p, d, v):
                            / (d**2 + (t_i + t_a) * d * v * p))
 
 
-def _exhaustive_oracle(m, block_len, power, noise_var, channel_vars):
-    """Reference search: the plain-Python rate of every (relay, side) of
-    every composition and the capacity formula, the first strict maximum
-    wins."""
-    best, best_rate = None, -1.0
+def _oracle_r_keys(m, block_len, power, noise_var, channel_vars):
+    """Every composition in lexicographic order, with the r_key that the
+    plain-Python rate of each (relay, side) and the capacity formula give
+    it."""
     for alloc in _compositions(block_len, m + 2):
         t_a, t_b, *t_rel = alloc
         i_g = [min(_rate_oracle(t, t_a, power, noise_var, v_a),
                    _rate_oracle(t, t_b, power, noise_var, v_b))
                for t, (v_a, v_b) in zip(t_rel, channel_vars)]
-        r = (sum(i_g) - max(i_g)) / block_len
+        yield alloc, (sum(i_g) - max(i_g)) / block_len
+
+
+def _exhaustive_oracle(m, block_len, power, noise_var, channel_vars):
+    """Reference search: every composition scored by
+    :func:`_oracle_r_keys`, the first strict maximum wins."""
+    best, best_rate = None, -1.0
+    for alloc, r in _oracle_r_keys(m, block_len, power, noise_var,
+                                   channel_vars):
         if r > best_rate:
             best, best_rate = alloc, r
     return AllocationResult(best, best_rate, "exhaustive")
+
+
+# The M=4, T=30 search of the CI console-script step.
+_CI_VARS = [(0.6, 1.8), (1.1, 0.9), (2.0, 0.7), (0.8, 0.8)]
 
 
 class TestPairwiseRate:
@@ -563,6 +574,102 @@ class TestOptimizeAllocation:
                              channel_vars=args[4], block_len=45,
                              allocation=exact.allocation)
         assert exact.r_key == key_rate(cfg).r_key
+
+
+def _pruning_config(case):
+    """Seeded (m, block_len, power, noise_var, channel_vars) number
+    ``case`` of the pruned-search oracle tests."""
+    rng = np.random.Generator(np.random.PCG64(4000 + case))
+    m = int(rng.integers(2, 6))
+    block_len = m + 2 if case % 13 == 0 else int(rng.integers(m + 2, 15))
+    power = float(10.0 ** rng.uniform(-9, 9))
+    noise_var = float(rng.uniform(0.2, 4.0))
+    if case % 6 == 3:
+        # every rate rounds to 0: x <= T^2 * 1e-18 < 2**-53 in 1 + x
+        block_len = min(block_len, 10)
+        power, noise_var = 1e-9, 1.0
+        channel_vars = [(float(rng.uniform(0.05, 1.0)),
+                         float(rng.uniform(0.05, 1.0))) for _ in range(m)]
+    elif case % 5 == 0:  # all-equal variances: many tied allocations
+        channel_vars = [(1.3, 1.3)] * m
+    elif case % 7 == 0:  # two-valued variances: ties between relays
+        channel_vars = [tuple(float(v) for v in rng.choice([0.5, 2.0], 2))
+                        for _ in range(m)]
+    elif case % 11 == 0:  # variances over 24 decades
+        power = float(10.0 ** rng.uniform(-6, 6))
+        channel_vars = [(float(10.0 ** rng.uniform(-12, 12)),
+                         float(10.0 ** rng.uniform(-12, 12)))
+                        for _ in range(m)]
+    else:
+        channel_vars = [(float(rng.uniform(0.05, 4.0)),
+                         float(rng.uniform(0.05, 4.0))) for _ in range(m)]
+    return m, block_len, power, noise_var, channel_vars
+
+
+class TestPrunedSearch:
+    def _check(self, m, block_len, power, noise_var, channel_vars):
+        got = optimize_allocation(m, block_len, power, noise_var,
+                                  channel_vars)
+        want = _exhaustive_oracle(m, block_len, power, noise_var,
+                                  channel_vars)
+        assert (got.allocation, got.r_key, got.method) == \
+            (want.allocation, want.r_key, want.method)
+        # every allocation's r_key is at most its terminal pair's bound
+        ub = wireless._pair_bounds(
+            wireless._rate_table(m, block_len, power, noise_var,
+                                 channel_vars), block_len)
+        for (t_a, t_b, *_), r in _oracle_r_keys(m, block_len, power,
+                                                noise_var, channel_vars):
+            assert r <= ub[t_a, t_b]
+        return got
+
+    @pytest.mark.parametrize("first", range(0, 200, 20))
+    def test_matches_oracle_and_bounds_hold(self, first):
+        # 200 seeded configs, 20 per case: M 2-5, T from M+2 to 14,
+        # ties, all-zero rates and variances over 24 decades.
+        for case in range(first, first + 20):
+            m, block_len, power, noise_var, channel_vars = \
+                _pruning_config(case)
+            got = self._check(m, block_len, power, noise_var, channel_vars)
+            if power == 1e-9:  # every r_key is 0: the first one wins
+                assert got.r_key == 0.0
+                assert got.allocation == (1,) * (m + 1) + (block_len - m - 1,)
+            if block_len == m + 2:
+                assert got.allocation == (1,) * (m + 2)
+
+    @pytest.mark.parametrize("block_len, power, channel_vars", [
+        (5, 0.01, [(1e-6, 1e11), (100.0, 1.0)]),
+        (8, 1000.0, [(1e7, 1e-11), (1e-6, 1e-5)]),
+        (9, 1000.0, [(1e-9, 1e4), (1e3, 1e-5)]),
+        (9, 100.0, [(1e3, 1e7), (1e-7, 1e-10)]),
+    ])
+    def test_bound_margin_scales_with_the_sum(self, block_len, power,
+                                              channel_vars):
+        # One relay's rate is large and the other's below its rounding,
+        # so the sum less the largest carries an error of a few ulps of
+        # the sum, not of the capacity.  A margin of 1e-9 of the capacity
+        # alone lets the pair with the largest bound score above it,
+        # and the search then returns a later tied allocation or none.
+        self._check(2, block_len, power, 1.0, channel_vars)
+
+    def test_ci_config_scores_under_60_percent(self, monkeypatch):
+        # A search that stops pruning scores all C(29, 5) = 118,755
+        # allocations; the bound leaves about 44% of them.
+        rows = []
+        capacity = rates._capacity
+
+        def counting(vals):
+            rows.append(vals.shape[0])
+            return capacity(vals)
+
+        monkeypatch.setattr(rates, "_capacity", counting)
+        got = optimize_allocation(4, 30, 10.0, 1.0, _CI_VARS)
+        assert sum(rows) < 0.6 * math.comb(29, 5)
+        cfg = WirelessConfig(m=4, power=10.0, noise_var=1.0,
+                             channel_vars=_CI_VARS, block_len=30,
+                             allocation=got.allocation)
+        monkeypatch.setattr(rates, "_capacity", capacity)
+        assert got.r_key == key_rate(cfg).r_key
 
 
 class TestMultiplexingGain:
