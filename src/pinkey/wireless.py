@@ -245,22 +245,24 @@ def _pair_bounds(tab: np.ndarray, block_len: int) -> np.ndarray:
     terminals hold t_A and t_B slots, -inf where no allocation does.
 
     The relays share R = T-t_A-t_B slots, so none holds more than
-    top = R-M+1.  A pairwise rate grows with the relay's slot count, so
-    each relay's minimum g_i(t) = min(tab[i,0,t,t_A], tab[i,1,t,t_B])
-    does too; and the capacity, the sum of the M-1 smallest values,
-    never falls when one value rises.  So the capacity of g(top) bounds
-    every allocation of the pair.  The table is monotone as floats as
-    well: one more slot raises the rate's argument by a relative step of
-    at least 1/T^2, far above its rounding.  What rounding can still
-    move is the sum less the largest value, by a few ulps of the sum on
-    either side; the bound adds 1e-9 of the sum to cover that.
+    top = R-M+1.  Relay i's rates at any t <= top are at most their
+    running maxima over relay slots 1..top, so its minimum is at most
+    g_i = min of the two running maxima; and the capacity, the sum of
+    the M-1 smallest values, never falls when one value rises.  So the
+    capacity of g bounds every allocation of the pair.  The running
+    maximum makes this hold for the float table, which need not grow
+    with the slot count when the squares are subnormal.  What rounding
+    can still move is the sum less the largest value, by a few ulps of
+    the sum on either side; the bound adds 1e-9 of the sum to cover
+    that.
     """
     m, stride = tab.shape[0], tab.shape[-1]
     t_a, t_b = np.indices((stride, stride))
     pair = (t_a >= 1) & (t_b >= 1) & (t_a + t_b <= block_len - m)
     t_a, t_b = t_a[pair], t_b[pair]
     top = block_len - m + 1 - t_a - t_b
-    g = np.minimum(tab[:, 0, top, t_a], tab[:, 1, top, t_b]).T
+    cum = np.maximum.accumulate(tab, axis=2)
+    g = np.minimum(cum[:, 0, top, t_a], cum[:, 1, top, t_b]).T
     total = rates._total(g)
     ub = np.full((stride, stride), -np.inf)
     ub[t_a, t_b] = (total - g.max(axis=1) + 1e-9 * total) / block_len

@@ -652,6 +652,17 @@ class TestPrunedSearch:
         # and the search then returns a later tied allocation or none.
         self._check(2, block_len, power, 1.0, channel_vars)
 
+    def test_bound_holds_where_the_table_falls(self):
+        # Power and noise squares of one subnormal unit round the rate's
+        # argument so coarsely that relay 0's rate falls from 20 to 21
+        # slots at t_A = 1; a bound read at the most slots a relay can
+        # hold then sits below (1, 1, 20, 2), so it must take the
+        # running maximum over slots.
+        args = (2, 24, 2e-162, 2e-162, [(1.0, 1.0), (1e6, 1e6)])
+        tab = wireless._rate_table(*args)
+        assert tab[0, 0, 21, 1] < tab[0, 0, 20, 1]
+        self._check(*args)
+
     def test_ci_config_scores_under_60_percent(self, monkeypatch):
         # A search that stops pruning scores all C(29, 5) = 118,755
         # allocations; the bound leaves about 44% of them.
