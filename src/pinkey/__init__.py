@@ -6,23 +6,19 @@ random-binning key distillation, exact secrecy audits, and wireless
 channel-estimation rate evaluation.
 """
 
-from .distillation import KeyIndex, RbCodebook, build_codebook, distill, \
-    invert, xor_distill
+from .distillation import KeyIndex, RbCodebook, build_codebook, distill
 from .errors import (BudgetExceeded, ConfigError, InvariantViolation,
-                     PinkeyError, ReconciliationFailure)
-from .infotools import JointPmf, empirical_mi, exact_entropy, exact_mi, \
-    leakage_audit
+                     ReconciliationFailure)
+from .infotools import leakage_audit
 from .model import (PairSource, PinInstance, ProtocolParams,
-                    SourceRealization, binary_entropy,
-                    pair_mutual_informations, sample)
+                    SourceRealization, binary_entropy, sample)
 from .pipeline import run_once
 from .protocol import (PairwiseKeys, Transcript, agree_keys, alice_common,
                        bob_common, reconcile_pair, xor_broadcast,
                        xor_payloads)
-from .rates import (RateReport, capacity, capacity_order_stat,
-                    converse_bound, rate_report, xor_baseline_rate)
-from .wireless import (WirelessConfig, key_rate, mc_estimate_check,
-                       multiplexing_gain_sweep, optimize_allocation,
-                       pairwise_rate, uniform_config)
+from .rates import (RateReport, capacity, converse_bound, rate_report,
+                    xor_baseline_rate)
+from .wireless import (WirelessConfig, key_rate, multiplexing_gain_sweep,
+                       optimize_allocation, uniform_config)
 
 __version__ = "0.1.0"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 
@@ -26,16 +24,6 @@ def bits_to_int(bits) -> int:
     arr = as_bits(bits)
     # packbits zero-pads the last byte on the right; shift the pad out.
     return int.from_bytes(np.packbits(arr).tobytes(), "big") >> (-arr.size % 8)
-
-
-def int_to_bits(value: int, width: int) -> np.ndarray:
-    """Python int to a big-endian bit vector of the given width."""
-    value = operator.index(value)
-    if value < 0 or value >= (1 << width):
-        raise ValueError(f"{value} does not fit in {width} bits")
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8)
-    return np.unpackbits(raw)[8 * nbytes - width:]
 
 
 def bits_to_hex(bits) -> str:

@@ -142,6 +142,7 @@ def distill(codebook: RbCodebook, common_messages: Sequence[int]) -> KeyIndex:
                     k_tilde=pos & (codebook.bin_size - 1))
 
 
+# Only the tests call this; it stays because perfbench's TRACED looks it up.
 def invert(codebook: RbCodebook, index: KeyIndex) -> Tuple[int, ...]:
     """Inverse of :func:`distill`: index pair back to the message tuple."""
     k = as_number(int, index.k, "bin index")
@@ -154,6 +155,7 @@ def invert(codebook: RbCodebook, index: KeyIndex) -> Tuple[int, ...]:
     return codebook.messages_from_flat(int(codebook.inverse[pos]))
 
 
+# Only the tests call this; it stays because perfbench's TRACED looks it up.
 def xor_distill(common_messages: Sequence[np.ndarray]) -> np.ndarray:
     """Baseline key: concatenated XORs of message pairs (1,2),(3,4),...
 

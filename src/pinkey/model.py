@@ -153,7 +153,7 @@ def _sample_side(pair: PairSource, n: int, rng: np.random.Generator,
     if pair.mode == MODE_IDEAL:
         bits = pair.bits_a if side == _SIDE_A else pair.bits_b
         shared = rng.integers(0, 2, size=n * bits, dtype=np.uint8)
-        return shared.copy(), shared.copy()
+        return shared, shared.copy()
     crossover = pair.crossover_a if side == _SIDE_A else pair.crossover_b
     relay_seq = rng.integers(0, 2, size=n, dtype=np.uint8)
     flips = (rng.random(n) < crossover).astype(np.uint8)
@@ -179,6 +179,7 @@ def sample(instance: PinInstance, seed: int) -> SourceRealization:
     return SourceRealization(n=n, x_a=x_a, x_b=x_b, x_relays=x_relays)
 
 
+# Only the tests call this; it stays because perfbench's TRACED looks it up.
 def pair_mutual_informations(instance: PinInstance) -> List[Tuple[float, float]]:
     """Closed-form (I_A_i, I_B_i) in bits for every relay pair."""
     return [pair.mutual_informations() for pair in instance.pairs]

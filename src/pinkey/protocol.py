@@ -33,7 +33,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -93,30 +93,17 @@ class Transcript:
         self._residues = {relay_sender(i): i + 1 for i in range(num_relays)}
         self._residues.update({SENDER_ALICE: num_relays + 1, SENDER_BOB: 0})
 
-    def _residue(self, sender: str) -> int:
-        if sender not in self._residues:
-            raise ValueError(f"unknown sender: {sender!r}")
-        return self._residues[sender]
-
     def append(self, sender: str, payload) -> Round:
         """Log a payload at the sender's next scheduled round."""
+        if sender not in self._residues:
+            raise ValueError(f"unknown sender: {sender!r}")
         period = self.num_relays + 2
-        residue = self._residue(sender)
         index = self._last + 1
-        index += (residue - index) % period
+        index += (self._residues[sender] - index) % period
         rnd = Round(index=index, sender=sender, payload=as_bits(payload))
         self.rounds.append(rnd)
         self._last = index
         return rnd
-
-    def schedule_ok(self) -> bool:
-        period = self.num_relays + 2
-        last = 0
-        for rnd in self.rounds:
-            if rnd.index <= last or rnd.index % period != self._residue(rnd.sender):
-                return False
-            last = rnd.index
-        return True
 
     def to_jsonl(self) -> str:
         lines = []
@@ -151,47 +138,6 @@ def _toeplitz_diag(k: int, out_len: int) -> np.ndarray:
     return rng.integers(0, 2, size=out_len + k - 1, dtype=np.uint8)
 
 
-def _fft_size(k: int, out_len: int) -> int:
-    """Circular convolution length of the hash: the smallest power of two
-    at least ``out_len + k - 1``."""
-    return 1 << (out_len + k - 2).bit_length()
-
-
-def _toeplitz_hash(bits: np.ndarray, out_len: int,
-                   diag: Optional[np.ndarray] = None) -> np.ndarray:
-    """Fixed public universal-hash compression of each row to out_len bits.
-
-    ``bits`` is a ``(rows, k)`` 0/1 array and the result is ``(rows,
-    out_len)`` uint8.  Every row goes through the same ``out_len x k``
-    Toeplitz matrix ``T[i, j] = diag[i - j + k - 1]``, with ``diag`` from
-    :func:`_toeplitz_diag` unless the caller has drawn it.  ``T @ x`` is
-    entries ``[k - 1, k - 1 + out_len)`` of the linear convolution
-    ``diag * x``, which a circular convolution of length at least
-    ``out_len + k - 1`` reproduces there without wrap-around; it is
-    computed with one real FFT of ``diag`` and one per row, rounded to the
-    nearest integer and reduced mod 2.  An entry more than 0.25 from an
-    integer raises :class:`InvariantViolation`.
-    """
-    rows, k = bits.shape
-    if out_len <= 0 or k == 0:
-        return np.zeros((rows, max(out_len, 0)), dtype=np.uint8)
-    if diag is None:
-        diag = _toeplitz_diag(k, out_len)
-    size = _fft_size(k, out_len)
-    spectrum = np.fft.rfft(bits, size)
-    spectrum *= np.fft.rfft(diag, size)
-    conv = np.fft.irfft(spectrum, size)[:, k - 1:k - 1 + out_len]
-    del spectrum
-    counts = np.rint(conv)
-    conv -= counts
-    residual = float(np.abs(conv, out=conv).max())
-    if residual > 0.25:
-        raise InvariantViolation(f"Toeplitz hash entry {residual:.3g} away "
-                                 f"from an integer (k={k}, "
-                                 f"out_len={out_len})")
-    return (counts.astype(np.int64) & 1).astype(np.uint8)
-
-
 # Cost model of the terminal key, from timing numpy on x86: XOR-ing one
 # Toeplitz column into the key costs about as much as XOR-ing
 # _XOR_CALL_BYTES more bytes, and one more FFT row about as much as
@@ -202,8 +148,19 @@ _FFT_POINT_BYTES = 1 << 5
 
 def _toeplitz_hash_pair(raw: np.ndarray, flips: np.ndarray,
                         out_len: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``(T @ (raw ^ flips), T @ raw)`` under the hash of
-    :func:`_toeplitz_hash`, with one draw of ``diag``.
+    """``(T @ (raw ^ flips), T @ raw)`` as uint8 keys of ``out_len`` bits,
+    under the fixed public universal hash of the compression step.
+
+    T is the ``out_len x k`` Toeplitz matrix ``T[i, j] = diag[i - j + k -
+    1]`` for ``k = raw.size``, with ``diag`` from :func:`_toeplitz_diag`;
+    an empty key (``out_len <= 0`` or ``k == 0``) draws nothing.  ``T @
+    x`` is entries ``[k - 1, k - 1 + out_len)`` of the linear convolution
+    ``diag * x``, which a circular convolution of length at least
+    ``out_len + k - 1`` (the FFT length, a power of two) reproduces there
+    without wrap-around; it is computed with one real FFT of ``diag`` and
+    one per hashed row, rounded to the nearest integer and reduced mod 2.
+    An entry more than 0.25 from an integer raises
+    :class:`InvariantViolation`.
 
     The hash is linear over GF(2), so the first key is the second XOR the
     columns ``T[:, j] = diag[k - 1 - j : k - 1 - j + out_len]`` at the ones
@@ -212,19 +169,33 @@ def _toeplitz_hash_pair(raw: np.ndarray, flips: np.ndarray,
     only FFT row; otherwise ``flips`` is hashed as a second row.
     """
     k = raw.size
+    if out_len <= 0 or k == 0:
+        empty = np.zeros(max(out_len, 0), dtype=np.uint8)
+        return empty, empty.copy()
     cols = k - 1 - np.flatnonzero(flips)
-    size = _fft_size(k, out_len)
-    # An empty key takes _toeplitz_hash's empty branch and draws nothing.
-    if (out_len <= 0 or k == 0 or cols.size * (out_len + _XOR_CALL_BYTES)
-            > _FFT_POINT_BYTES * size * size.bit_length()):
-        keys = _toeplitz_hash(np.stack([raw, flips]), out_len)
-        return keys[0] ^ keys[1], keys[0]
+    size = 1 << (out_len + k - 2).bit_length()
+    two_rows = (cols.size * (out_len + _XOR_CALL_BYTES)
+                > _FFT_POINT_BYTES * size * size.bit_length())
+    rows = np.stack([raw, flips]) if two_rows else raw[None]
     diag = _toeplitz_diag(k, out_len)
-    key_relay = _toeplitz_hash(raw[None], out_len, diag)[0]
-    key_terminal = key_relay.copy()
+    spectrum = np.fft.rfft(rows, size)
+    spectrum *= np.fft.rfft(diag, size)
+    conv = np.fft.irfft(spectrum, size)[:, k - 1:k - 1 + out_len]
+    del spectrum
+    counts = np.rint(conv)
+    conv -= counts
+    residual = float(np.abs(conv, out=conv).max())
+    if residual > 0.25:
+        raise InvariantViolation(f"Toeplitz hash entry {residual:.3g} away "
+                                 f"from an integer (k={k}, "
+                                 f"out_len={out_len})")
+    keys = (counts.astype(np.int64) & 1).astype(np.uint8)
+    if two_rows:
+        return keys[0] ^ keys[1], keys[0]
+    key_terminal = keys[0].copy()
     for start in cols:
         key_terminal ^= diag[start:start + out_len]
-    return key_terminal, key_relay
+    return key_terminal, keys[0]
 
 
 def compression_drop_per_block(crossover: float) -> int:

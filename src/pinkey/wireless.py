@@ -455,6 +455,7 @@ class McCheckResult:
     degenerate: bool  # noiseless limit; gap check not meaningful
 
 
+# Only the tests call this; it stays because perfbench's TRACED looks it up.
 def mc_estimate_check(config: WirelessConfig, pair_index: int,
                       samples: int, seed: int = 0,
                       side: str = "A") -> McCheckResult:

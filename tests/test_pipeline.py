@@ -4,19 +4,9 @@ import numpy as np
 import pytest
 
 from pinkey import pipeline
-from pinkey.model import PairSource, PinInstance, ProtocolParams
 from pinkey.protocol import relay_sender, xor_payloads
 
-
-def ideal_instance(bit_pairs, n=1, epsilon_bits=1):
-    pairs = [PairSource.ideal_common(a, b) for a, b in bit_pairs]
-    return PinInstance(m=len(pairs), pairs=pairs,
-                       params=ProtocolParams(n=n, epsilon_bits=epsilon_bits))
-
-
-def dsbs_instance(m=2, n=70, crossover=0.0):
-    pairs = [PairSource.dsbs(crossover, crossover) for _ in range(m)]
-    return PinInstance(m=m, pairs=pairs, params=ProtocolParams(n=n))
+from helpers import dsbs_instance, ideal_instance
 
 
 def test_ideal_run_audits_every_relay():
@@ -61,14 +51,30 @@ def test_truncation_keeps_proportional_prefixes():
     assert len(res.leakage) == 3
 
 
+@pytest.mark.parametrize("bit_pairs, truncated, kept", [
+    ([(7, 7)] * 3, True, [6, 6, 6]),
+    ([(7, 7), (7, 7), (6, 7)], False, [7, 7, 6])],
+    ids=["21_bits", "20_bits"])
+def test_twenty_bit_budget(bit_pairs, truncated, kept):
+    # Common messages of 7 + 7 + 7 = 21 bits are one over the budget and
+    # are cut to 7 * 20 // 21 = 6 bits each; 7 + 7 + 6 = 20 fit whole.
+    res = pipeline.run_once(ideal_instance(bit_pairs), sample_seed=9,
+                            codebook_seed=10)
+    assert [w.size for w in res.keys.common] == [min(p) for p in bit_pairs]
+    assert res.truncated is truncated
+    assert res.message_bits == kept
+    assert res.agreed
+
+
 def test_noisy_run_skips_the_audit():
-    res = pipeline.run_once(dsbs_instance(), sample_seed=5, codebook_seed=6)
+    res = pipeline.run_once(dsbs_instance([0.0] * 2, 70), sample_seed=5,
+                            codebook_seed=6)
     assert res.leakage is None
     assert res.agreed
 
 
 @pytest.mark.parametrize("inst", [ideal_instance([(2, 1), (1, 2)], n=3),
-                                  dsbs_instance(m=3)],
+                                  dsbs_instance([0.0] * 3, 70)],
                          ids=["ideal", "dsbs"])
 def test_relay_rounds_carry_the_xor_payloads(inst):
     res = pipeline.run_once(inst, sample_seed=7, codebook_seed=8)

@@ -7,24 +7,14 @@ import pytest
 from scipy import stats
 
 from pinkey import model, protocol
-from pinkey.bitops import as_bits, int_to_bits
+from pinkey.bitops import as_bits
 from pinkey.errors import InvariantViolation, ReconciliationFailure
-from pinkey.model import PairSource, PinInstance, ProtocolParams
 from pinkey.protocol import (PairwiseKeys, Transcript, agree_keys,
                              alice_common, bob_common, reconcile_pair,
                              relay_sender, xor_broadcast, xor_payloads)
 
-
-def ideal_instance(bit_pairs, n=1, epsilon_bits=1):
-    pairs = [PairSource.ideal_common(a, b) for a, b in bit_pairs]
-    return PinInstance(m=len(pairs), pairs=pairs,
-                       params=ProtocolParams(n=n, epsilon_bits=epsilon_bits))
-
-
-def dsbs_instance(crossovers, n):
-    pairs = [PairSource.dsbs(p, p) for p in crossovers]
-    return PinInstance(m=len(pairs), pairs=pairs,
-                       params=ProtocolParams(n=n))
+from helpers import (assert_round_robin, dsbs_instance, ideal_instance,
+                     int_to_bits_oracle)
 
 
 def _toeplitz_diag(k, out_len):
@@ -108,7 +98,7 @@ class TestTranscript:
         t.append(relay_sender(0), [1])
         indices = [r.index for r in t.rounds]
         assert indices == [1, 3, 4, 5, 6]
-        assert t.schedule_ok()
+        assert_round_robin(t.rounds, 3)
 
     @pytest.mark.parametrize("m", [2.0, True, "3"])
     def test_rejects_non_integer_relay_count(self, m):
@@ -146,7 +136,7 @@ class TestTranscript:
         want = [i + 1 for i in range(m)] + [m + 1, 0]
         assert [r.index % (m + 2) for r in t.rounds] == want * 2
         assert [r.index for r in t.rounds[:m + 2]] == list(range(1, m + 3))
-        assert t.schedule_ok()
+        assert_round_robin(t.rounds, m)
         for bad in ("relay-0", f"relay-{m + 1}", "relay-x", "relay-01",
                     "Alice"):
             with pytest.raises(ValueError):
@@ -203,21 +193,21 @@ class TestAgreeKeysIdeal:
 class TestXorBroadcast:
     def test_prefix_xor_example(self):
         keys = PairwiseKeys(
-            w_a=[int_to_bits(0b1011, 4), np.zeros(2, np.uint8)],
-            w_b=[int_to_bits(0b01, 2), np.zeros(2, np.uint8)],
-            relay_w_a=[int_to_bits(0b1011, 4), np.zeros(2, np.uint8)],
-            relay_w_b=[int_to_bits(0b01, 2), np.zeros(2, np.uint8)],
+            w_a=[int_to_bits_oracle(0b1011, 4), np.zeros(2, np.uint8)],
+            w_b=[int_to_bits_oracle(0b01, 2), np.zeros(2, np.uint8)],
+            relay_w_a=[int_to_bits_oracle(0b1011, 4), np.zeros(2, np.uint8)],
+            relay_w_b=[int_to_bits_oracle(0b01, 2), np.zeros(2, np.uint8)],
             n=1)
         payloads = xor_payloads(keys)
-        np.testing.assert_array_equal(payloads[0], int_to_bits(0b11, 2))
+        np.testing.assert_array_equal(payloads[0], int_to_bits_oracle(0b11, 2))
         # Alice unmasks the smaller Bob-side key from the payload.
         np.testing.assert_array_equal(alice_common(keys, payloads)[0],
-                                      int_to_bits(0b01, 2))
+                                      int_to_bits_oracle(0b01, 2))
         np.testing.assert_array_equal(bob_common(keys, payloads)[0],
-                                      int_to_bits(0b01, 2))
+                                      int_to_bits_oracle(0b01, 2))
 
     def test_identical_keys_zero_payload(self):
-        w = int_to_bits(0b101, 3)
+        w = int_to_bits_oracle(0b101, 3)
         keys = PairwiseKeys(w_a=[w, w], w_b=[w, w], relay_w_a=[w, w],
                             relay_w_b=[w, w], n=1)
         for payload in xor_payloads(keys):
@@ -226,7 +216,7 @@ class TestXorBroadcast:
     def test_exhaustive_equal_length_reconstruction(self):
         # All 256 combinations of two 4-bit keys for one relay.
         for a_val, b_val in itertools.product(range(16), repeat=2):
-            wa, wb = int_to_bits(a_val, 4), int_to_bits(b_val, 4)
+            wa, wb = int_to_bits_oracle(a_val, 4), int_to_bits_oracle(b_val, 4)
             pad = np.zeros(4, np.uint8)
             keys = PairwiseKeys(w_a=[wa, pad], w_b=[wb, pad],
                                 relay_w_a=[wa, pad], relay_w_b=[wb, pad],
@@ -260,7 +250,7 @@ class TestXorBroadcast:
         keys, transcript = agree_keys(model.sample(inst, 3), inst)
         xor_broadcast(keys, transcript)
         assert [r.sender for r in transcript.rounds] == ["relay-1", "relay-2"]
-        assert transcript.schedule_ok()
+        assert_round_robin(transcript.rounds, inst.m)
 
 
 class TestReconcilePair:
@@ -379,30 +369,31 @@ TOEPLITZ_GRID = [(0, 5), (1, 1), (3, 10), (9, 40), (8, 3)] + [
 
 class TestToeplitzHash:
     @pytest.mark.parametrize("k,out_len", TOEPLITZ_GRID)
-    def test_equals_dense_oracle(self, k, out_len):
+    def test_equals_dense_oracle(self, k, out_len, monkeypatch):
+        # All-ones rows give the largest counts the rounding must
+        # reproduce.  No flips hash one FFT row; all flips set hash the
+        # flips as a second row.
         rng = np.random.Generator(np.random.PCG64(k * 7919 + out_len))
-        bits = rng.integers(0, 2, (3, k), dtype=np.uint8)
-        bits[0] = 1   # the largest counts the rounding must reproduce
-        got = protocol._toeplitz_hash(bits, out_len)
-        assert got.dtype == np.uint8 and got.shape == (3, out_len)
-        for row, key in zip(bits, got):
-            assert (key == _toeplitz_oracle(row, out_len)).all()
-
-    def test_batched_rows_equal_single_rows(self):
-        rng = np.random.Generator(np.random.PCG64(5))
-        bits = rng.integers(0, 2, (2, 1000), dtype=np.uint8)
-        batched = protocol._toeplitz_hash(bits, 700)
-        for row, key in zip(bits, batched):
-            assert (protocol._toeplitz_hash(row[None], 700)[0] == key).all()
+        raw = rng.integers(0, 2, k, dtype=np.uint8)
+        ones, zeros = np.ones(k, np.uint8), np.zeros(k, np.uint8)
+        rows = _count_fft_rows(monkeypatch)
+        for bits, flips, fft_rows in ((ones, zeros, 1), (raw, ones, 2)):
+            rows.clear()
+            keys = protocol._toeplitz_hash_pair(bits, flips, out_len)
+            assert rows == ([fft_rows] if k else [])
+            for key, row in zip(keys, (bits ^ flips, bits)):
+                assert key.dtype == np.uint8 and key.shape == (out_len,)
+                assert (key == _toeplitz_oracle(row, out_len)).all()
 
     def test_memory_linear_in_k(self):
-        # A dense hash matrix would take about 10^6 * k bytes here.
+        # A dense hash matrix would take about 10^6 * k bytes here.  Dense
+        # flips make the two-row FFT, the larger of the two.
         k = 200_000
-        bits = np.random.Generator(np.random.PCG64(6)).integers(
+        raw, flips = np.random.Generator(np.random.PCG64(6)).integers(
             0, 2, (2, k), dtype=np.uint8)
         tracemalloc.start()
         try:
-            protocol._toeplitz_hash(bits, 3 * k // 4)
+            protocol._toeplitz_hash_pair(raw, flips, 3 * k // 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -413,7 +404,8 @@ class TestToeplitzHash:
         monkeypatch.setattr(np.fft, "irfft",
                             lambda *a, **kw: irfft(*a, **kw) + 0.3)
         with pytest.raises(InvariantViolation):
-            protocol._toeplitz_hash(np.ones((1, 8), dtype=np.uint8), 4)
+            protocol._toeplitz_hash_pair(np.ones(8, dtype=np.uint8),
+                                         np.zeros(8, dtype=np.uint8), 4)
 
     def test_million_bit_pair_matches_oracle_rows(self):
         # n = 1,000,006: k = 571,432 raw bits hashed to 428,574; a dense
@@ -442,7 +434,7 @@ class TestAgreeKeysNoisy:
         senders = [r.sender for r in transcript.rounds]
         assert senders == ["relay-1", "alice", "relay-1", "bob",
                            "relay-2", "alice", "relay-2", "bob"]
-        assert transcript.schedule_ok()
+        assert_round_robin(transcript.rounds, inst.m)
 
     def test_short_block_fails(self):
         inst = dsbs_instance([0.1, 0.1], n=5)
