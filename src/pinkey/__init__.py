@@ -18,7 +18,7 @@ from .protocol import (PairwiseKeys, Transcript, agree_keys, alice_common,
                        xor_payloads)
 from .rates import (RateReport, capacity, converse_bound, rate_report,
                     xor_baseline_rate)
-from .wireless import (WirelessConfig, key_rate, multiplexing_gain_sweep,
+from .wireless import (WirelessConfig, multiplexing_gain_sweep,
                        optimize_allocation, uniform_config)
 
 __version__ = "0.1.0"

@@ -93,17 +93,20 @@ def xor_baseline_rate(i_values: Sequence[float]) -> float:
     count the unpaired relay contributes zero.  Order-sensitive by design.
     A sum that overflows a float raises ``ValueError``.
     """
-    total = _xor_pairs(_validated(i_values).tolist())
+    with np.errstate(over="ignore"):
+        total = float(_xor_pairs(_validated(i_values)))
     if not np.isfinite(total):
         raise ValueError("the sum of the rate inputs overflows a float")
     return total
 
 
-def _xor_pairs(vals: List[float]) -> float:
-    """:func:`xor_baseline_rate` of a validated list of values."""
+def _xor_pairs(vals: np.ndarray) -> np.ndarray:
+    """:func:`xor_baseline_rate` of validated values of shape (..., M),
+    with no overflow check: each listed pair's ``np.minimum`` added to
+    0.0 left to right, the float operations of a plain loop."""
     total = 0.0
-    for j in range(0, len(vals) - 1, 2):
-        total += min(vals[j], vals[j + 1])
+    for j in range(0, vals.shape[-1] - 1, 2):
+        total = total + np.minimum(vals[..., j], vals[..., j + 1])
     return total
 
 

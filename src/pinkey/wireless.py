@@ -29,6 +29,8 @@ _EXHAUSTIVE_LIMIT = 10_000_000
 # float slot products of _rates are exact products rounded once.
 _MAX_SLOTS = 2 ** 53
 _SCORE_CHUNK = 4096
+_OVERFLOW = ("rate inputs must be finite: the square of the power, a "
+             "channel or the noise variance overflows")
 
 
 @dataclass(frozen=True)
@@ -102,26 +104,36 @@ def uniform_config(m: int, slot: int = 2, power: float = 1.0,
                           allocation=[slot] * (m + 2))
 
 
-def _rates(t_i, t_alpha, power: float, noise_var: float,
-           variances) -> np.ndarray:
+def _rates(t_i, t_alpha, power, noise_var, variances) -> np.ndarray:
     """Pairwise key rates 0.5*log2(1 + Ti*Ta*P^2*v^2 / (d^2 + (Ti+Ta)*d*v*P))
     in bits per fading block for integer slot counts ``t_i``, ``t_alpha``
     and channel variances v, broadcast together; d is the noise variance.
+    ``power`` is one P, or an array of powers whose other axes have
+    length 1 and whose leading axis becomes the result's.
 
     The one evaluation of the formula: the squares are Python floats, the
     rest runs left to right and the log is ``math.log2`` per entry, so
     every entry is the float the scalar formula gives.  A square that
-    overflows, or a rate that is not finite, raises ``ValueError``.
+    overflows, or a rate that is not finite, raises ``ValueError``.  The
+    powers are squared in order; if one overflows, the powers before it
+    are evaluated and checked first, so the error raised is the first
+    that one call per power, in order, would raise.
     """
     var = np.asarray(variances, dtype=float)
+    power = np.asarray(power, dtype=float)
+    count, p2 = power.size, []
     try:
-        p2, n2 = float(power) ** 2, float(noise_var) ** 2
+        n2 = float(noise_var) ** 2
         v2 = np.array([v ** 2 for v in var.ravel().tolist()]).reshape(
             var.shape)
+        for p in power.ravel().tolist():
+            p2.append(p ** 2)
     except OverflowError:
-        raise ValueError("rate inputs must be finite: the square of the "
-                         "power, a channel or the noise variance "
-                         "overflows") from None
+        if not p2:
+            raise ValueError(_OVERFLOW) from None
+        # the powers before the first whose square overflows
+        power = power.ravel()[:len(p2)].reshape((-1, *power.shape[1:]))
+    p2 = np.reshape(p2, power.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         # float slot products cannot wrap as int64 ones can, and for
         # slots below _MAX_SLOTS they are the exact products rounded once
@@ -131,6 +143,8 @@ def _rates(t_i, t_alpha, power: float, noise_var: float,
     rate = 0.5 * np.fromiter(map(math.log2, args.ravel().tolist()), float,
                              args.size)
     rates._check_finite(rate)
+    if p2.size < count:
+        raise ValueError(_OVERFLOW)
     return rate.reshape(args.shape)
 
 
@@ -161,24 +175,32 @@ class WirelessRateReport:
     xor_r_key: float
 
 
-def key_rate(config: WirelessConfig) -> WirelessRateReport:
-    """Network key rate per channel use for one slot allocation.
+def _network_rates(config: WirelessConfig, powers):
+    """``(i_g, r_key, xor_r_key)`` of ``config``'s slot allocation at each
+    of K powers (one power is K = 1), as arrays of shape (K, M), (K,)
+    and (K,); ``config.power`` is not read.
 
-    The 2M (relay, Alice or Bob side) pairwise rates come from one
-    :func:`_rates` call; ``i_g`` holds each relay's smaller one.  The
-    kernel has already checked them, so the capacity and the XOR-pair
-    sum take them without a second check.
+    One :func:`_rates` call gives the 2M (relay, Alice or Bob side)
+    pairwise rates of every power, and ``i_g`` holds each relay's smaller
+    one.  The kernel has already checked them, so the capacity and the
+    XOR-pair sum take them without a second check.
     """
     pair = _rates(np.array(config.t_relays)[:, None],
-                  np.array([config.t_a, config.t_b]), config.power,
-                  config.noise_var, config.channel_vars)
-    i_g = pair.min(axis=1)
-    listed = i_g.tolist()
-    return WirelessRateReport(
-        i_g=listed,
-        r_key=float(rates._capacity(i_g)) / config.block_len,
-        xor_r_key=rates._xor_pairs(listed) / config.block_len,
-    )
+                  np.array([config.t_a, config.t_b]),
+                  np.reshape(powers, (-1, 1, 1)), config.noise_var,
+                  config.channel_vars)
+    i_g = pair.min(axis=-1)
+    return (i_g, rates._capacity(i_g) / config.block_len,
+            rates._xor_pairs(i_g) / config.block_len)
+
+
+# Only the tests and perfbench call this; perfbench's TRACED looks it up.
+def key_rate(config: WirelessConfig) -> WirelessRateReport:
+    """Network key rate per channel use for one slot allocation: the
+    one-power case of :func:`_network_rates`."""
+    i_g, r_key, xor_r_key = _network_rates(config, config.power)
+    return WirelessRateReport(i_g=i_g[0].tolist(), r_key=float(r_key[0]),
+                              xor_r_key=float(xor_r_key[0]))
 
 
 def _relay_compositions(m: int, block_len: int):
@@ -425,6 +447,17 @@ def multiplexing_gain_sweep(m: int, p_grid: Sequence[float],
     scheme and floor(M/2) for the XOR baseline.  ``m`` and ``slot`` go
     through :func:`uniform_config`, so a non-integer one raises
     ``ValueError``.
+
+    Validated once: the grid must be nonempty, strictly increasing and
+    above 1 (which rejects NaN), so every power lies in (1, P_max].  One
+    :func:`uniform_config` at P_max then checks m, the slot, both
+    variances and that P_max, hence every power, is finite.  Of these
+    checks only the last reads the power, so a loop with one config per
+    power would raise the same error at its first power; the one
+    difference is that an infinite P_max is reported before any other
+    fault.  One :func:`_network_rates` call then scores the whole grid,
+    r_s takes ``math.log2`` per power, and each row holds the Python
+    floats that such a loop, calling :func:`key_rate`, gives.
     """
     p_grid = [as_number(float, p, "grid power") for p in p_grid]
     if not p_grid or any(b <= a for a, b in zip(p_grid, p_grid[1:])):
@@ -432,18 +465,12 @@ def multiplexing_gain_sweep(m: int, p_grid: Sequence[float],
     if not all(p > 1.0 for p in p_grid):
         raise ValueError("every grid power must exceed 1: r_s = "
                          "log2(P)/(2T) is zero or negative otherwise")
-    rows = []
-    for power in p_grid:
-        cfg = uniform_config(m, slot=slot, power=power, noise_var=noise_var,
-                             channel_var=channel_var)
-        report = key_rate(cfg)
-        r_s = math.log2(power) / (2.0 * cfg.block_len)
-        rows.append(SweepRow(power=power,
-                             rb_ratio=report.r_key / r_s,
-                             xor_ratio=report.xor_r_key / r_s,
-                             r_key=report.r_key,
-                             r_s=r_s))
-    return rows
+    cfg = uniform_config(m, slot=slot, power=p_grid[-1], noise_var=noise_var,
+                         channel_var=channel_var)
+    _, r_key, xor_r_key = _network_rates(cfg, p_grid)
+    r_s = np.array([math.log2(p) for p in p_grid]) / (2.0 * cfg.block_len)
+    return [SweepRow(*row) for row in zip(p_grid, *(
+        col.tolist() for col in (r_key / r_s, xor_r_key / r_s, r_key, r_s)))]
 
 
 @dataclass

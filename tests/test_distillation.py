@@ -68,6 +68,19 @@ class TestBuildCodebook:
         with pytest.raises(BudgetExceeded):
             build_codebook([13, 12], 0, 0)
 
+    def test_budget_is_inclusive(self, monkeypatch):
+        # 2^24 codewords pass the check and reach the permutation (stopped
+        # there: it would take 128 MiB).
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(np.random, "Generator", drawn)
+        with pytest.raises(Drawn):
+            build_codebook([12, 12], 0, 0)
+
     @pytest.mark.parametrize("widths,key_bits", [
         ([2.5, 1], 1), ([2.0, 1], 1), ([True, 1], 1), (["2", 1], 1),
         ([2, 1], 1.5), ([2, 1], 1.0), ([2, 1], True), ([2, 1], None)])

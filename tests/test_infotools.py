@@ -344,6 +344,14 @@ class TestEmpiricalMi:
         with pytest.raises(ValueError):
             empirical_mi([0, 1] * 600, [0, 1] * 600, bootstrap=0)
 
+    def test_one_bootstrap_resample(self):
+        # One resample: the interval is that one estimate, on both ends.
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 3, 2000)
+        est = empirical_mi(x, (x + rng.integers(0, 2, 2000)) % 3,
+                           bootstrap=1)
+        assert est.ci_low == est.ci_high
+
     # bootstrap=True ran one resample and 2.5 raised a bare TypeError.
     @pytest.mark.parametrize("bootstrap", [True, 2.5, "10", None])
     def test_rejects_non_integer_bootstrap(self, bootstrap):

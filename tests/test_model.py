@@ -37,6 +37,8 @@ class TestPairSource:
     def test_invalid_bits(self):
         with pytest.raises(ValueError):
             PairSource.ideal_common(-1, 0)
+        # zero shared bits on a side is a valid (empty) pair
+        assert PairSource.ideal_common(0, 0).mutual_informations() == (0, 0)
 
     @pytest.mark.parametrize("build", [
         lambda: PairSource.ideal_common(2.5, 1),

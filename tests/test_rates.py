@@ -290,6 +290,24 @@ class TestXorBaseline:
     def test_never_exceeds_capacity(self, vals):
         assert rates.xor_baseline_rate(vals) <= rates.capacity(vals) + 1e-12
 
+    def test_rows_equal_listed_loop_exactly(self):
+        # _xor_pairs on a (K, M) array gives each row the float of a plain
+        # loop over the listed pairs, and xor_baseline_rate a Python float.
+        rng = np.random.Generator(np.random.PCG64(9))
+        for m in (2, 3, 4, 7, 10):
+            batch = rng.uniform(0.0, 16.0, (200, m))
+            batch[::5] = batch[::5, :1]  # rows of equal values (ties)
+            want = []
+            for row in batch.tolist():
+                total = 0.0
+                for j in range(0, m - 1, 2):
+                    total += min(row[j], row[j + 1])
+                want.append(total)
+            assert rates._xor_pairs(batch).tolist() == want
+            got = [rates.xor_baseline_rate(row) for row in batch]
+            assert got == want
+            assert all(type(x) is float for x in got)
+
 
 class TestRateReport:
     def test_fields_consistent(self):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -48,6 +49,23 @@ def _exhaustive_oracle(m, block_len, power, noise_var, channel_vars):
             best, best_rate = alloc, r
     return AllocationResult(best, best_rate, "exhaustive")
 
+
+def _sweep_oracle(m, p_grid, slot, noise_var, channel_var):
+    """The per-power loop: a validated config and a key_rate call for each
+    power of a checked grid, as (power, rb_ratio, xor_ratio, r_key, r_s)."""
+    rows = []
+    for power in p_grid:
+        cfg = uniform_config(m, slot=slot, power=power, noise_var=noise_var,
+                             channel_var=channel_var)
+        report = key_rate(cfg)
+        r_s = math.log2(power) / (2.0 * cfg.block_len)
+        rows.append((power, report.r_key / r_s, report.xor_r_key / r_s,
+                     report.r_key, r_s))
+    return rows
+
+
+# Powers above this have a square that overflows a float.
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 
 # The M=4, T=30 search of the CI console-script step.
 _CI_VARS = [(0.6, 1.8), (1.1, 0.9), (2.0, 0.7), (0.8, 0.8)]
@@ -140,6 +158,12 @@ class TestConfigValidation:
             WirelessConfig(m=2, power=1.0, noise_var=1.0,
                            channel_vars=[(1, 1), (1, 1)], block_len=9,
                            allocation=(2, 2, 2, 2))
+
+    def test_allocation_length_is_m_plus_2(self):
+        with pytest.raises(ValueError, match="allocation needs 4 slots"):
+            WirelessConfig(m=2, power=1.0, noise_var=1.0,
+                           channel_vars=[(1, 1), (1, 1)], block_len=6,
+                           allocation=(2, 2, 2))
 
     def test_every_slot_nonempty(self):
         with pytest.raises(ValueError):
@@ -708,6 +732,8 @@ class TestMultiplexingGain:
             multiplexing_gain_sweep(3, ["10", "100"])
         with pytest.raises(ValueError):
             multiplexing_gain_sweep(3, [10.0, 5.0])
+        with pytest.raises(ValueError, match="increasing"):
+            multiplexing_gain_sweep(3, [10.0, 10.0])
 
     @pytest.mark.parametrize("m, slot", [
         (4.0, 2), ("4", 2), (True, 2), (4, 2.0), (4, True), (4, "2")],
@@ -725,6 +751,68 @@ class TestMultiplexingGain:
         # below it (negative ratios).
         with pytest.raises(ValueError):
             multiplexing_gain_sweep(3, grid)
+
+    def test_equals_per_power_loop(self):
+        rng = np.random.Generator(np.random.PCG64(25))
+        outcomes = {"rows": 0, "finite": 0, "overflows": 0, "late": 0}
+        for case in range(400):
+            m, slot = int(rng.integers(2, 10)), int(rng.integers(1, 51))
+            d, v = (float(x) for x in 10.0 ** rng.uniform(-6, 6, 2))
+            # every fourth grid reaches past 1.34e154, where P^2 overflows
+            top = (12, 150, 150, 160)[case % 4]
+            grid = np.unique(10.0 ** rng.uniform(1e-3, top,
+                                                 int(rng.integers(1, 13))))
+            grid = grid.tolist()
+            try:
+                want = _sweep_oracle(m, grid, slot, d, v)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    multiplexing_gain_sweep(m, grid, slot, d, v)
+                assert str(got.value) == str(exc)
+                kind = "overflows" if "overflows" in str(exc) else "finite"
+                outcomes[kind] += 1
+                # a non-finite rate met before a later square overflows
+                outcomes["late"] += (kind == "finite"
+                                     and grid[-1] > _SQRT_MAX)
+                continue
+            rows = multiplexing_gain_sweep(m, grid, slot, d, v)
+            got = [tuple(vars(row).values()) for row in rows]
+            assert all(type(x) is float for row in got for x in row)
+            assert ([[x.hex() for x in row] for row in got]
+                    == [[x.hex() for x in row] for row in want])
+            # and r_key is the plain-float closed form of the M equal rates
+            block_len = slot * (m + 2)
+            for row in rows:
+                i_g = [_rate_oracle(slot, slot, row.power, d, v)] * m
+                total = 0.0
+                for i in i_g:
+                    total += i
+                assert row.r_key == (total - max(i_g)) / block_len
+            outcomes["rows"] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 12, 1000])
+    def test_one_config_and_one_kernel_call(self, monkeypatch, size):
+        calls = {"config": 0, "rates": 0}
+        config, kernel = wireless.WirelessConfig, wireless._rates
+
+        def counting_config(**kwargs):
+            calls["config"] += 1
+            return config(**kwargs)
+
+        def counting_rates(*args):
+            calls["rates"] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(wireless, "WirelessConfig", counting_config)
+        monkeypatch.setattr(wireless, "_rates", counting_rates)
+        rows = multiplexing_gain_sweep(6, np.logspace(0.5, 12, size))
+        assert len(rows) == size
+        assert calls == {"config": 1, "rates": 1}
+
+    def test_infinite_top_power_is_refused_by_the_config(self):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            multiplexing_gain_sweep(3, [10.0, math.inf])
 
 
 class TestMcEstimateCheck:
