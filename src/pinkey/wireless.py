@@ -223,18 +223,20 @@ def _relay_compositions(m: int, block_len: int):
     dtype = np.min_scalar_type(block_len - 2)
     rel = np.empty((m, math.comb(block_len - 2, m)), dtype=dtype)
     rel[m - 1, :longest] = np.arange(longest, 0, -1)
+    slots = np.arange(1, longest + 1, dtype=dtype)
     for q in range(2, m + 1):
         top, row = longest + q - 1, m - q
         head = math.comb(top - 1, q - 1)
         # lengths of the level-below blocks, budgets top-1 down to q-1
-        counts = [math.comb(r - 1, q - 2) for r in range(top - 1, q - 2, -1)]
+        counts = np.array([math.comb(r - 1, q - 2)
+                           for r in range(top - 1, q - 2, -1)])
         pos = 0
         for b in range(top, q - 1, -1):
             n = math.comb(b - 1, q - 1)
             if pos:
                 rel[row + 1:, pos:pos + n] = rel[row + 1:, head - n:head]
-            rel[row, pos:pos + n] = np.repeat(
-                np.arange(1, b - q + 2, dtype=dtype), counts[top - b:])
+            rel[row, pos:pos + n] = np.repeat(slots[:b - q + 1],
+                                              counts[top - b:])
             pos += n
     return rel
 

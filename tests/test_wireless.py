@@ -780,7 +780,8 @@ class TestMultiplexingGain:
             assert all(type(x) is float for row in got for x in row)
             assert ([[x.hex() for x in row] for row in got]
                     == [[x.hex() for x in row] for row in want])
-            # and r_key is the plain-float closed form of the M equal rates
+            # and r_key and xor_r_key are the plain-float closed forms of
+            # the M equal rates, independent of key_rate
             block_len = slot * (m + 2)
             for row in rows:
                 i_g = [_rate_oracle(slot, slot, row.power, d, v)] * m
@@ -788,6 +789,11 @@ class TestMultiplexingGain:
                 for i in i_g:
                     total += i
                 assert row.r_key == (total - max(i_g)) / block_len
+                xor_total = 0.0
+                for _ in range(m // 2):
+                    xor_total += i_g[0]
+                r_s = math.log2(row.power) / (2.0 * block_len)
+                assert row.xor_ratio == (xor_total / block_len) / r_s
             outcomes["rows"] += 1
         assert min(outcomes.values()) > 0, outcomes
 
