@@ -199,7 +199,10 @@ def _toeplitz_hash_pair(raw: np.ndarray, flips: np.ndarray,
 
 
 def compression_drop_per_block(crossover: float) -> int:
-    return math.ceil(_BLOCK * binary_entropy(crossover) / 4.0)
+    """Key bits dropped per kept block: ceil(7*h2(p)/4), and at least 1,
+    since a block's syndrome and parity leak one linear bit of its four
+    kept bits (rank 4 + 4 - 7) even at crossover 0."""
+    return max(math.ceil(_BLOCK * binary_entropy(crossover) / 4.0), 1)
 
 
 def _public_bits(blocks: np.ndarray) -> np.ndarray:

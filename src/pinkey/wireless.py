@@ -109,31 +109,24 @@ def _rates(t_i, t_alpha, power, noise_var, variances) -> np.ndarray:
     in bits per fading block for integer slot counts ``t_i``, ``t_alpha``
     and channel variances v, broadcast together; d is the noise variance.
     ``power`` is one P, or an array of powers whose other axes have
-    length 1 and whose leading axis becomes the result's.
+    length 1 and whose leading axis becomes the result's.  Every caller
+    passes inputs a :class:`WirelessConfig` has validated.
 
     The one evaluation of the formula: the squares are Python floats, the
     rest runs left to right and the log is ``math.log2`` per entry, so
-    every entry is the float the scalar formula gives.  A square that
-    overflows, or a rate that is not finite, raises ``ValueError``.  The
-    powers are squared in order; if one overflows, the powers before it
-    are evaluated and checked first, so the error raised is the first
-    that one call per power, in order, would raise.
+    every entry is the float the scalar formula gives.  The noise, every
+    variance and every power are squared first, and a square that
+    overflows raises ``ValueError`` before any rate is computed; so does
+    a rate that is not finite.
     """
     var = np.asarray(variances, dtype=float)
     power = np.asarray(power, dtype=float)
-    count, p2 = power.size, []
     try:
         n2 = float(noise_var) ** 2
-        v2 = np.array([v ** 2 for v in var.ravel().tolist()]).reshape(
-            var.shape)
-        for p in power.ravel().tolist():
-            p2.append(p ** 2)
+        v2, p2 = (np.reshape([x ** 2 for x in a.ravel().tolist()], a.shape)
+                  for a in (var, power))
     except OverflowError:
-        if not p2:
-            raise ValueError(_OVERFLOW) from None
-        # the powers before the first whose square overflows
-        power = power.ravel()[:len(p2)].reshape((-1, *power.shape[1:]))
-    p2 = np.reshape(p2, power.shape)
+        raise ValueError(_OVERFLOW) from None
     with np.errstate(over="ignore", invalid="ignore"):
         # float slot products cannot wrap as int64 ones can, and for
         # slots below _MAX_SLOTS they are the exact products rounded once
@@ -143,29 +136,7 @@ def _rates(t_i, t_alpha, power, noise_var, variances) -> np.ndarray:
     rate = 0.5 * np.fromiter(map(math.log2, args.ravel().tolist()), float,
                              args.size)
     rates._check_finite(rate)
-    if p2.size < count:
-        raise ValueError(_OVERFLOW)
     return rate.reshape(args.shape)
-
-
-def pairwise_rate(t_i: int, t_alpha: int, power: float, noise_var: float,
-                  channel_var: float) -> float:
-    """Closed-form pairwise key rate in bits per fading block (the Gaussian
-    MI between the two MMSE channel estimates), computed by :func:`_rates`.
-
-    Slot counts must be integers in [1, 2**53), the rest real, finite and
-    > 0; a bool, a string, a fractional slot, NaN or inf raises
-    ``ValueError``.
-    """
-    t_i, t_alpha = (as_number(int, t, "training slot")
-                    for t in (t_i, t_alpha))
-    reals = [as_number(float, x, "rate input")
-             for x in (power, noise_var, channel_var)]
-    if (not all(1 <= t < _MAX_SLOTS for t in (t_i, t_alpha))
-            or not all(0 < x < math.inf for x in reals)):
-        raise ValueError("slots must lie in [1, 2**53), power and variances "
-                         "finite and > 0")
-    return float(_rates(t_i, t_alpha, *reals))
 
 
 @dataclass
@@ -248,9 +219,9 @@ def _rate_table(m: int, block_len: int, power: float, noise_var: float,
 
     One :func:`_rates` call over the upper triangle t_i <= t_alpha for all
     2M variances, mirrored into the lower one (the rate is symmetric in
-    its slot counts), so each entry is the float :func:`pairwise_rate`
-    returns and the kernel has already rejected a non-finite one.  Index
-    0 is unused.
+    its slot counts), so each entry is the float the scalar formula
+    gives and the kernel has already rejected a non-finite one.  Index 0
+    is unused.
     """
     longest = block_len - m - 1
     t_i, t_alpha = np.triu_indices(longest)
@@ -453,13 +424,10 @@ def multiplexing_gain_sweep(m: int, p_grid: Sequence[float],
     Validated once: the grid must be nonempty, strictly increasing and
     above 1 (which rejects NaN), so every power lies in (1, P_max].  One
     :func:`uniform_config` at P_max then checks m, the slot, both
-    variances and that P_max, hence every power, is finite.  Of these
-    checks only the last reads the power, so a loop with one config per
-    power would raise the same error at its first power; the one
-    difference is that an infinite P_max is reported before any other
-    fault.  One :func:`_network_rates` call then scores the whole grid,
-    r_s takes ``math.log2`` per power, and each row holds the Python
-    floats that such a loop, calling :func:`key_rate`, gives.
+    variances and that P_max, hence every power, is finite.  One
+    :func:`_network_rates` call then scores the whole grid, r_s takes
+    ``math.log2`` per power, and each row holds the Python floats that
+    :func:`key_rate` gives at its power.
     """
     p_grid = [as_number(float, p, "grid power") for p in p_grid]
     if not p_grid or any(b <= a for a, b in zip(p_grid, p_grid[1:])):
@@ -507,8 +475,8 @@ def mc_estimate_check(config: WirelessConfig, pair_index: int,
     t_i = config.t_relays[pair_index]
     e_relay = t_i * config.power       # relay training seen by the terminal
     e_term = t_alpha * config.power    # terminal training seen by the relay
-    formula = pairwise_rate(t_i, t_alpha, config.power, config.noise_var,
-                            var_h)
+    formula = float(_rates(t_i, t_alpha, config.power, config.noise_var,
+                           var_h))
 
     degenerate = config.noise_var <= 1e-12 * var_h * min(e_relay, e_term)
     if degenerate:

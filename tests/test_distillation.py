@@ -182,8 +182,9 @@ class TestDistill:
 
     def test_invert_rejects_bad_index(self):
         cb = build_codebook([1, 1], 1, seed=0)
-        with pytest.raises(ValueError):
-            invert(cb, KeyIndex(k=2, k_tilde=0))
+        for index in (KeyIndex(k=2, k_tilde=0), KeyIndex(k=0, k_tilde=2)):
+            with pytest.raises(ValueError):
+                invert(cb, index)
 
     @pytest.mark.parametrize("messages", [(1.7, 0), ("1", 0), (True, 0),
                                           (1.0, 0), (0, None)])

@@ -160,7 +160,7 @@ class TestLeakageAudit:
             infotools.leakage_audit(cb, 0).mi_bits, abs=1e-12)
 
     def test_rejects_bad_relay(self):
-        for relay in (5, -1, True, 1.0, "1", None):
+        for relay in (2, 5, -1, True, 1.0, "1", None):
             with pytest.raises(ValueError):
                 infotools.leakage_audit(parity_codebook(), relay)
 
@@ -326,6 +326,11 @@ class TestEmpiricalMi:
         x = rng.integers(0, 200, 2000)
         y = rng.integers(0, 200, 2000)
         assert empirical_mi(x, y, bootstrap=10).unreliable
+        # 1024 x 512 cells, over the 2**18 that one bootstrap chunk
+        # draws: a chunk holds one resample
+        x[0], y[0] = 1023, 511
+        est = empirical_mi(x, y, bootstrap=3)
+        assert est.unreliable and est.ci_low <= est.ci_high
 
     def test_unreliable_threshold_is_strict(self):
         # A 10 x 10 joint alphabet over 1,000 samples is exactly a tenth

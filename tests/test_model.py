@@ -191,6 +191,11 @@ def test_pair_mutual_informations():
     assert mis[1][1] == pytest.approx(1.0 - binary_entropy(0.25))
 
 
+def test_binary_entropy_endpoints():
+    assert binary_entropy(0) == binary_entropy(1.0) == 0.0
+    assert binary_entropy(0.5) == 1.0
+
+
 @pytest.mark.parametrize("p", [True, False, "0.2", None, math.nan])
 def test_binary_entropy_rejects_non_reals(p):
     with pytest.raises(ValueError):

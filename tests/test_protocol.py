@@ -68,7 +68,8 @@ def _reconcile_oracle(term, relay, crossover):
             kept_term += [t[j] for j in (2, 4, 5, 6)]
             kept_relay += [r[j] for j in (2, 4, 5, 6)]
     blocks = len(kept_relay) // 4
-    out_len = max(4 * blocks - math.ceil(7 * _h2(crossover) / 4) * blocks, 0)
+    drop = max(math.ceil(7 * _h2(crossover) / 4), 1)
+    out_len = max(4 * blocks - drop * blocks, 0)
     return (_toeplitz_oracle(kept_term, out_len),
             _toeplitz_oracle(kept_relay, out_len))
 
@@ -260,8 +261,9 @@ class TestReconcilePair:
         res = reconcile_pair(seq, seq, 0.0)
         assert res.corrected_blocks == 0
         assert res.kept_mask.all()
-        assert res.dropped_bits == 0
-        assert res.key_terminal.size == 40
+        # each kept block's public bits leak one of its four kept bits
+        assert res.dropped_bits == 10
+        assert res.key_terminal.size == 30
         np.testing.assert_array_equal(res.key_terminal, res.key_relay)
 
     def test_single_flip_corrected_every_position(self):
@@ -290,6 +292,9 @@ class TestReconcilePair:
         res = reconcile_pair(seq, seq, 0.11)
         assert res.dropped_bits == 4
         assert res.key_terminal.size == 12
+        # the floor: at crossover 0 no flip is corrected, but the
+        # syndrome and parity still leak one linear bit per kept block
+        assert protocol.compression_drop_per_block(0) == 1
 
     @pytest.mark.parametrize("crossover", [0.7, 0.5000001, -0.1,
                                            float("nan"), "0.1", True])
@@ -377,6 +382,14 @@ class TestToeplitzHash:
         raw = rng.integers(0, 2, k, dtype=np.uint8)
         ones, zeros = np.ones(k, np.uint8), np.zeros(k, np.uint8)
         rows = _count_fft_rows(monkeypatch)
+        lengths = []
+        irfft = np.fft.irfft
+
+        def recording(spectrum, n):
+            lengths.append(n)
+            return irfft(spectrum, n)
+
+        monkeypatch.setattr(np.fft, "irfft", recording)
         for bits, flips, fft_rows in ((ones, zeros, 1), (raw, ones, 2)):
             rows.clear()
             keys = protocol._toeplitz_hash_pair(bits, flips, out_len)
@@ -384,6 +397,11 @@ class TestToeplitzHash:
             for key, row in zip(keys, (bits ^ flips, bits)):
                 assert key.dtype == np.uint8 and key.shape == (out_len,)
                 assert (key == _toeplitz_oracle(row, out_len)).all()
+        # each FFT length is the smallest power of two that holds the
+        # out_len + k - 1 entries of the linear convolution
+        span = out_len + k - 1
+        assert len(lengths) == (2 if k else 0)
+        assert all(n & (n - 1) == 0 and n >= span > n // 2 for n in lengths)
 
     def test_memory_linear_in_k(self):
         # A dense hash matrix would take about 10^6 * k bytes here.  Dense
@@ -400,9 +418,16 @@ class TestToeplitzHash:
         assert peak < 256 * k
 
     def test_rounding_guard(self, monkeypatch):
+        # One entry 0.3 away from an integer is enough: entry k - 1 of
+        # the convolution is the first key bit.
         irfft = np.fft.irfft
-        monkeypatch.setattr(np.fft, "irfft",
-                            lambda *a, **kw: irfft(*a, **kw) + 0.3)
+
+        def nudged(*args, **kwargs):
+            conv = irfft(*args, **kwargs)
+            conv[..., 7] += 0.3
+            return conv
+
+        monkeypatch.setattr(np.fft, "irfft", nudged)
         with pytest.raises(InvariantViolation):
             protocol._toeplitz_hash_pair(np.ones(8, dtype=np.uint8),
                                          np.zeros(8, dtype=np.uint8), 4)

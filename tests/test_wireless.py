@@ -10,8 +10,7 @@ from pinkey import rates, wireless
 from pinkey.errors import BudgetExceeded
 from pinkey.wireless import (AllocationResult, WirelessConfig, key_rate,
                              mc_estimate_check, multiplexing_gain_sweep,
-                             optimize_allocation, pairwise_rate,
-                             uniform_config)
+                             optimize_allocation, uniform_config)
 
 
 def _compositions(total, parts):
@@ -71,25 +70,44 @@ _SQRT_MAX = math.sqrt(sys.float_info.max)
 _CI_VARS = [(0.6, 1.8), (1.1, 0.9), (2.0, 0.7), (0.8, 0.8)]
 
 
+def _kernel_rate(t_i, t_alpha, power, noise_var, channel_var):
+    """One pairwise rate from the rate kernel, as a Python float."""
+    return float(wireless._rates(t_i, t_alpha, power, noise_var,
+                                 channel_var))
+
+
+def _pair_config(t_i, t_alpha, power, noise_var, channel_var):
+    """The M=2 config that feeds the rate kernel these inputs for relay
+    1 and Alice; every other slot and variance is 1."""
+    return WirelessConfig(m=2, power=power, noise_var=noise_var,
+                          channel_vars=[(channel_var, 1.0), (1.0, 1.0)],
+                          block_len=int(t_i) + int(t_alpha) + 2,
+                          allocation=(t_alpha, 1, t_i, 1))
+
+
 class TestPairwiseRate:
     def test_direct_substitution(self):
-        assert pairwise_rate(1, 1, 1.0, 1.0, 1.0) == pytest.approx(
-            0.5 * math.log2(1.0 + 1.0 / 3.0))
+        rate = _kernel_rate(1, 1, 1.0, 1.0, 1.0)
+        assert rate == _rate_oracle(1, 1, 1.0, 1.0, 1.0)
+        assert rate == pytest.approx(0.5 * math.log2(1.0 + 1.0 / 3.0))
 
     def test_vanishing_power(self):
-        assert pairwise_rate(1, 1, 1e-12, 1.0, 1.0) < 1e-11
+        assert _kernel_rate(1, 1, 1e-12, 1.0, 1.0) < 1e-11
 
     def test_high_power_slope_is_half(self):
         # Doubling P twice (x4) adds about 0.5*log2(4) = 1 bit.
-        gain = (pairwise_rate(1, 1, 4e6, 1.0, 1.0)
-                - pairwise_rate(1, 1, 1e6, 1.0, 1.0))
+        gain = (_kernel_rate(1, 1, 4e6, 1.0, 1.0)
+                - _kernel_rate(1, 1, 1e6, 1.0, 1.0))
         assert gain == pytest.approx(1.0, abs=1e-3)
 
+    # The kernel trusts its inputs; the config that feeds it refuses
+    # every input it must not see.
     def test_rejects_nonpositive(self):
+        _pair_config(1, 1, 1, 1, 1)
         for args in [(0, 1, 1, 1, 1), (1, 1, 0, 1, 1), (1, 1, 1, 0, 1),
                      (1, 1, 1, 1, 0)]:
             with pytest.raises(ValueError):
-                pairwise_rate(*args)
+                _pair_config(*args)
 
     @pytest.mark.parametrize("args", [
         (1, 1, math.nan, 1, 1), (1, 1, 1, math.inf, 1),
@@ -101,14 +119,14 @@ class TestPairwiseRate:
              "bool-noise"])
     def test_rejects_unconverted_and_nonfinite(self, args):
         with pytest.raises(ValueError):
-            pairwise_rate(*args)
+            _pair_config(*args)
 
     # 2**53 and up: float slot products are no longer exact.
     @pytest.mark.parametrize("t_i,t_alpha", [(2 ** 53, 1), (1, 10 ** 20),
                                              (2 ** 63, 2 ** 63)])
     def test_rejects_slots_past_2_to_53(self, t_i, t_alpha):
         with pytest.raises(ValueError, match=r"2\*\*53"):
-            pairwise_rate(t_i, t_alpha, 10.0, 1.0, 1.0)
+            _pair_config(t_i, t_alpha, 10.0, 1.0, 1.0)
 
     def test_partial_derivative_signs(self):
         # Strictly increasing in slots, power and channel variance;
@@ -120,13 +138,13 @@ class TestPairwiseRate:
             p = float(rng.uniform(0.2, 8.0))
             d = float(rng.uniform(0.2, 4.0))
             v = float(rng.uniform(0.2, 4.0))
-            base = pairwise_rate(t_i, t_a, p, d, v)
+            base = _kernel_rate(t_i, t_a, p, d, v)
             assert base == _rate_oracle(t_i, t_a, p, d, v)
-            assert pairwise_rate(t_i + 1, t_a, p, d, v) > base
-            assert pairwise_rate(t_i, t_a + 1, p, d, v) > base
-            assert pairwise_rate(t_i, t_a, p * 1.01, d, v) > base
-            assert pairwise_rate(t_i, t_a, p, d, v * 1.01) > base
-            assert pairwise_rate(t_i, t_a, p, d * 1.01, v) < base
+            assert _kernel_rate(t_i + 1, t_a, p, d, v) > base
+            assert _kernel_rate(t_i, t_a + 1, p, d, v) > base
+            assert _kernel_rate(t_i, t_a, p * 1.01, d, v) > base
+            assert _kernel_rate(t_i, t_a, p, d, v * 1.01) > base
+            assert _kernel_rate(t_i, t_a, p, d * 1.01, v) < base
 
     @pytest.mark.parametrize("args", [
         (1, 1, 1e200, 1.0, 1.0), (1, 1, 1.0, 1e200, 1.0),
@@ -134,7 +152,7 @@ class TestPairwiseRate:
         ids=["power", "noise_var", "channel_var", "noise_var_small_rate"])
     def test_square_overflow_raises_value_error(self, args):
         with pytest.raises(ValueError, match="overflows"):
-            pairwise_rate(*args)
+            wireless._rates(*args)
         with pytest.raises(ValueError, match="overflows"):
             wireless._rate_table(2, 6, *args[2:4], [(args[4], 1.0)] * 2)
 
@@ -359,9 +377,9 @@ class TestOptimizeAllocation:
     @pytest.mark.parametrize("case", range(24))
     def test_rate_table_equals_scalar_rate(self, case):
         # Every entry, both triangles and the unused index 0 included, is
-        # the float the plain-Python formula returns; so are pairwise_rate
-        # at sampled slot pairs and key_rate's minima at a random
-        # allocation.
+        # the float the plain-Python formula returns; so are the kernel's
+        # one-pair calls at sampled slot pairs and key_rate's minima at a
+        # random allocation.
         rng = np.random.Generator(np.random.PCG64(2000 + case))
         m = int(rng.integers(2, 6))
         block_len = int(rng.integers(m + 2, 41))
@@ -382,8 +400,8 @@ class TestOptimizeAllocation:
                         for t_i in range(1, longest + 1)]
                 assert tab[i, side, 1:, 1:].tolist() == want
                 for t_i, t_alpha in rng.integers(1, longest + 1, (5, 2)):
-                    assert pairwise_rate(int(t_i), int(t_alpha), power,
-                                         noise_var, var) \
+                    assert _kernel_rate(int(t_i), int(t_alpha), power,
+                                        noise_var, var) \
                         == want[t_i - 1][t_alpha - 1]
         cuts = sorted(rng.choice(np.arange(1, block_len), m + 1,
                                  replace=False).tolist())
@@ -754,7 +772,7 @@ class TestMultiplexingGain:
 
     def test_equals_per_power_loop(self):
         rng = np.random.Generator(np.random.PCG64(25))
-        outcomes = {"rows": 0, "finite": 0, "overflows": 0, "late": 0}
+        outcomes = {"rows": 0, "finite": 0, "overflows": 0}
         for case in range(400):
             m, slot = int(rng.integers(2, 10)), int(rng.integers(1, 51))
             d, v = (float(x) for x in 10.0 ** rng.uniform(-6, 6, 2))
@@ -763,17 +781,24 @@ class TestMultiplexingGain:
             grid = np.unique(10.0 ** rng.uniform(1e-3, top,
                                                  int(rng.integers(1, 13))))
             grid = grid.tolist()
+            if grid[-1] > _SQRT_MAX:
+                # every power is squared before any rate is computed, so
+                # the overflow is reported even where the loop meets a
+                # non-finite rate at a lower power first
+                with pytest.raises(ValueError):
+                    _sweep_oracle(m, grid, slot, d, v)
+                with pytest.raises(ValueError, match="overflows"):
+                    multiplexing_gain_sweep(m, grid, slot, d, v)
+                outcomes["overflows"] += 1
+                continue
             try:
                 want = _sweep_oracle(m, grid, slot, d, v)
             except ValueError as exc:
                 with pytest.raises(ValueError) as got:
                     multiplexing_gain_sweep(m, grid, slot, d, v)
                 assert str(got.value) == str(exc)
-                kind = "overflows" if "overflows" in str(exc) else "finite"
-                outcomes[kind] += 1
-                # a non-finite rate met before a later square overflows
-                outcomes["late"] += (kind == "finite"
-                                     and grid[-1] > _SQRT_MAX)
+                assert "finite and >= 0" in str(exc)
+                outcomes["finite"] += 1
                 continue
             rows = multiplexing_gain_sweep(m, grid, slot, d, v)
             got = [tuple(vars(row).values()) for row in rows]
@@ -842,6 +867,13 @@ class TestMcEstimateCheck:
                              allocation=[2, 2, 2, 2])
         res = mc_estimate_check(cfg, 0, 100_000, seed=0)
         assert res.degenerate
+        # The weaker of the two training energies decides: 1e-9 is above
+        # 1e-12 of the relay's 1 but below 1e-12 of Alice's 10**6.
+        cfg = WirelessConfig(m=2, power=1.0, noise_var=1e-9,
+                             channel_vars=[(1, 1), (1, 1)],
+                             block_len=10 ** 6 + 3,
+                             allocation=[10 ** 6, 1, 1, 1])
+        assert not mc_estimate_check(cfg, 0, 100_000, seed=0).degenerate
 
     def test_gap_shrinks_with_samples(self):
         # More samples shrink the average gap to the closed form.
@@ -858,8 +890,8 @@ class TestMcEstimateCheck:
         cfg = WirelessConfig(m=2, power=2.0, noise_var=1.0,
                              channel_vars=[(0.5, 3.0), (1.0, 1.0)],
                              block_len=11, allocation=[1, 6, 2, 2])
-        rate_a = wireless.pairwise_rate(2, 1, 2.0, 1.0, 0.5)
-        rate_b = wireless.pairwise_rate(2, 6, 2.0, 1.0, 3.0)
+        rate_a = _rate_oracle(2, 1, 2.0, 1.0, 0.5)
+        rate_b = _rate_oracle(2, 6, 2.0, 1.0, 3.0)
         assert rate_b > 3.0 * rate_a
         res = mc_estimate_check(cfg, 0, 1_000_000, seed=7, side="B")
         assert not res.degenerate
@@ -870,13 +902,35 @@ class TestMcEstimateCheck:
         assert res_a.formula_value == rate_a
         assert res_a.gap / rate_a < 0.02
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_formula_value_is_the_oracle_rate(self, side):
+        rng = np.random.Generator(np.random.PCG64(5 + (side == "B")))
+        for _ in range(20):
+            m = int(rng.integers(2, 6))
+            cuts = sorted(rng.choice(np.arange(1, 30), m + 1,
+                                     replace=False).tolist())
+            alloc = np.diff([0, *cuts, 30]).tolist()
+            power, noise_var, *flat = (10.0 ** rng.uniform(-6, 6, 2 * m + 2)
+                                       ).tolist()
+            channel_vars = list(zip(flat[::2], flat[1::2]))
+            cfg = WirelessConfig(m=m, power=power, noise_var=noise_var,
+                                 channel_vars=channel_vars, block_len=30,
+                                 allocation=alloc)
+            i = int(rng.integers(0, m))
+            t_alpha = alloc[0] if side == "A" else alloc[1]
+            var = channel_vars[i][0 if side == "A" else 1]
+            res = mc_estimate_check(cfg, i, 100_000, seed=3, side=side)
+            assert res.formula_value == _rate_oracle(
+                alloc[2 + i], t_alpha, power, noise_var, var)
+            assert type(res.formula_value) is float
+
     def test_rejects_bad_inputs(self):
         cfg = uniform_config(2)
         with pytest.raises(ValueError):
             mc_estimate_check(cfg, 0, 1000)
-        for pair_index, samples in [(5, 100_000), (True, 100_000),
-                                    (0.0, 100_000), (0, 100_000.0),
-                                    (0, "100000")]:
+        for pair_index, samples in [(2, 100_000), (5, 100_000),
+                                    (True, 100_000), (0.0, 100_000),
+                                    (0, 100_000.0), (0, "100000")]:
             with pytest.raises(ValueError):
                 mc_estimate_check(cfg, pair_index, samples)
         for side in ["C", "a", "", None, 0]:
