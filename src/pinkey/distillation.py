@@ -4,9 +4,10 @@ The codebook uniformly partitions the product space of all common
 messages into equal-size bins via a seeded shuffle; the bin index of the
 realized message tuple is the private key.  The bijection is stored
 explicitly (forward and inverse arrays) so downstream information
-measures are exact.  The scatter that builds the inverse also checks, in
-linear time, that the forward array is a permutation.  Enumeration is
-capped at 2^24 codewords.
+measures are exact: the inverse lists the codewords bin by bin, and the
+leakage audit counts it directly.  The scatter that builds the inverse
+also checks, in linear time, that the forward array is a permutation.
+Enumeration is capped at 2^24 codewords.
 
 Widths and the key length are checked once, by the rule both
 :func:`build_codebook` and :class:`RbCodebook` apply: integers, widths
@@ -18,7 +19,6 @@ significant; messages and key indices must be integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -69,8 +69,8 @@ class RbCodebook:
     else raises ``ValueError``.  The ``position`` entries must be
     integers (:func:`errors.as_numbers`).
 
-    ``key_of_all`` (the bin index of every codeword) is built on first
-    use, so codebooks that are never audited never pay for it.
+    ``inverse`` viewed as (num_bins, bin_size) lists each bin's codewords
+    in one row, which is what :func:`infotools.leakage_audit` counts.
     """
 
     def __init__(self, message_bits: Sequence[int], key_bits: int,
@@ -100,17 +100,6 @@ class RbCodebook:
     @property
     def bin_size(self) -> int:
         return 1 << self.bin_bits
-
-    @cached_property
-    def key_of_all(self) -> np.ndarray:
-        """Read-only bin index ``position >> bin_bits`` of every codeword
-        in flat order, in the narrowest unsigned dtype that holds a key."""
-        key = np.empty(self.position.size,
-                       dtype=np.min_scalar_type(self.num_bins - 1))
-        np.right_shift(self.position, self.bin_bits, out=key,
-                       casting="unsafe")
-        key.flags.writeable = False
-        return key
 
     def flat_index(self, messages: Sequence[int]) -> int:
         """Row-major flat index of one tuple of integer messages; a tuple

@@ -116,32 +116,46 @@ class LeakageAudit:
 
 
 def codebook_key_of_all(codebook: RbCodebook) -> np.ndarray:
-    """Bin index of every message tuple, in flat (row-major) order: the
-    codebook's cached, read-only ``key_of_all``."""
-    return codebook.key_of_all
+    """Bin index ``position >> bin_bits`` of every message tuple, in flat
+    (row-major) order and the narrowest unsigned dtype that holds a key."""
+    key = np.empty(codebook.position.size,
+                   dtype=np.min_scalar_type(codebook.num_bins - 1))
+    np.right_shift(codebook.position, codebook.bin_bits, out=key,
+                   casting="unsafe")
+    return key
 
 
-def _wm_major_counts(key: np.ndarray, pre: int, n_wm: int, post: int,
-                     key_bits: int) -> np.ndarray:
-    """(W_m, K) joint counts of the codewords whose flat keys ``key``
-    view as (pre, n_wm, post), with W_m the middle axis.
+def _bin_major_counts(inverse: np.ndarray, key_bits: int, b_m: int,
+                      shift: int) -> np.ndarray:
+    """(K, W_m) joint counts of a codebook from its ``inverse``, with
+    w_m = (w >> shift) & (2^b_m - 1) for flat codeword index w.
 
-    A few W_m rows at a time, about ``_AUDIT_BLOCK`` codewords, get the
-    codes ``(w_m << key_bits) | k`` (w_m relative to the block) in one
-    reused buffer, and their bincount fills exactly that block's rows of
-    the table, so the counting stays in cache.  A W_m row wider than the
-    block is counted whole.  All sizes are powers of two, so the blocks
-    tile the rows exactly.
+    ``inverse`` viewed as (2^key_bits, bin_size) holds bin k's codewords
+    in row k.  A few bins at a time, about ``_AUDIT_BLOCK`` codewords, get
+    the codes ``(k << b_m) | w_m`` (k relative to the block) in one reused
+    int32 buffer, and their bincount fills exactly that block's rows of
+    the table, so the counting stays in cache.  A bin wider than the block
+    is counted a block at a time into its row.  All sizes are powers of
+    two, so the blocks tile the bins exactly.
     """
-    rows = max(1, min(n_wm, _AUDIT_BLOCK // (pre * post)))
-    offsets = (np.arange(rows, dtype=np.intp) << key_bits)[:, None]
-    by_wm = key.reshape(pre, n_wm, post)
-    codes = np.empty((pre, rows, post), dtype=np.intp)
-    table = np.empty((n_wm, 1 << key_bits), dtype=np.int64)
-    for lo in range(0, n_wm, rows):
-        np.bitwise_or(by_wm[:, lo:lo + rows], offsets, out=codes)
-        table[lo:lo + rows] = np.bincount(
-            codes.ravel(), minlength=rows << key_bits).reshape(rows, -1)
+    by_bin = inverse.reshape(1 << key_bits, -1)
+    n_bins, width = by_bin.shape
+    rows = max(1, min(n_bins, _AUDIT_BLOCK // width))
+    cols = min(width, _AUDIT_BLOCK)
+    offsets = (np.arange(rows, dtype=np.int32) << b_m)[:, None]
+    codes = np.empty((rows, cols), dtype=np.int32)
+    table = np.empty((n_bins, 1 << b_m), dtype=np.int64)
+    for lo in range(0, n_bins, rows):
+        for col in range(0, width, cols):
+            np.right_shift(by_bin[lo:lo + rows, col:col + cols], shift,
+                           out=codes)
+            np.bitwise_and(codes, (1 << b_m) - 1, out=codes)
+            np.bitwise_or(codes, offsets, out=codes)
+            counts = np.bincount(codes.ravel(), minlength=rows << b_m)
+            if col:     # rows == 1: the rest of one wide bin
+                table[lo] += counts
+            else:
+                table[lo:lo + rows] = counts.reshape(rows, -1)
     return table
 
 
@@ -174,30 +188,28 @@ def leakage_audit(codebook: RbCodebook, relay: int) -> LeakageAudit:
     exact in ideal-common mode; noisy-pair instances must use
     :func:`empirical_mi` instead.
 
-    The joint (K, W_m) counts come from the codebook's cached key array,
-    counted in W_m-major blocks (:func:`_wm_major_counts`) and transposed
-    once into a C-contiguous (K, W_m) table, whose entropy comes from the
-    integer counts (:func:`_entropy_terms`) with the bits of
-    :func:`exact_mi` on the float pmf ``counts / total``.  The codebook
-    permutes the message space, so each bin holds 2^bin_bits codewords and
-    each W_m value 2^(total_bits - b_m): H(K) = key_bits and H(W_m) = b_m
-    exactly.  The table is checked against the 2^24 budget first.
+    The joint (K, W_m) counts come from the codebook's inverse, counted
+    bin by bin (:func:`_bin_major_counts`) into a C-contiguous (K, W_m)
+    table, whose entropy comes from the integer counts
+    (:func:`_entropy_terms`) with the bits of :func:`exact_mi` on the
+    float pmf ``counts / total``.  The codebook permutes the message
+    space, so each bin holds 2^bin_bits codewords and each W_m value
+    2^(total_bits - b_m): H(K) = key_bits and H(W_m) = b_m exactly.  The
+    table is checked against the 2^24 budget first.
     """
     relay = as_number(int, relay, "relay index")
     if not 0 <= relay < len(codebook.message_bits):
         raise ValueError(f"relay index out of range: {relay}")
     total = 1 << codebook.total_bits
-    shape = codebook.shape
-    cells = shape[relay] << codebook.key_bits
+    cells = codebook.shape[relay] << codebook.key_bits
     if cells > _TABLE_BUDGET:
         raise BudgetExceeded(f"(K, W_m) table of {cells} entries exceeds "
                              f"the 2^24 budget")
-    counts = _wm_major_counts(
-        codebook_key_of_all(codebook), math.prod(shape[:relay]),
-        shape[relay], math.prod(shape[relay + 1:]), codebook.key_bits)
+    counts = _bin_major_counts(codebook.inverse, codebook.key_bits,
+                               codebook.message_bits[relay],
+                               sum(codebook.message_bits[relay + 1:]))
     # The nonzero counts in (K, W_m) C order, the order the float pmf
-    # sums them in; each table is freed as soon as it is read.
-    counts = np.ascontiguousarray(counts.T)
+    # sums them in; the table is freed as soon as it is read.
     nz = counts[counts > 0]
     del counts
     h_joint, h_all_given_wm_key = _entropy_terms(nz, total)

@@ -140,18 +140,6 @@ class TestBuildCodebook:
             np.testing.assert_array_equal(cb.inverse,
                                           np.argsort(cb.position))
 
-    def test_key_of_all_is_lazy_cached_and_narrow(self):
-        for key_bits, dtype in ((0, np.uint8), (8, np.uint8),
-                                (9, np.uint16), (16, np.uint16),
-                                (17, np.uint32), (20, np.uint32)):
-            cb = build_codebook([10, 10], key_bits, seed=key_bits)
-            assert "key_of_all" not in vars(cb)
-            key = cb.key_of_all
-            assert key.dtype == dtype
-            np.testing.assert_array_equal(key, cb.position >> cb.bin_bits)
-            assert cb.key_of_all is key
-            assert not key.flags.writeable
-
 
 class TestDistill:
     def test_round_trip_bijection(self):

@@ -220,11 +220,15 @@ class TestLeakageAuditOracle:
 
     def test_equals_oracle_on_wide_and_skewed_codebooks(self, monkeypatch):
         # Every relay, a zero-width one included, at the audit's own block
-        # size and at 2^9 codewords, where most blocks hold a single W_m
-        # row wider than the block and [19, 1] packs 256 rows per block.
+        # size and at 2^9 codewords.  Bins range from one codeword
+        # (key_bits = total_bits: a block holds 2^15 or 2^9 bins) through
+        # 2^7 and 2^13 codewords to bins wider than either block (2^16 and
+        # 2^19 codewords, and key_bits 0: the whole space is one bin), which
+        # are counted a block at a time into one row.
         blocks = (infotools._AUDIT_BLOCK, 1 << 9)
         for widths, key_bits in (([10, 10], 7), ([5, 5, 5, 5], 13),
-                                 ([1, 19], 1), ([19, 1], 4), ([0, 20], 4)):
+                                 ([1, 19], 1), ([19, 1], 4), ([0, 20], 4),
+                                 ([4, 4, 4, 4], 16), ([10, 10], 0)):
             cb = build_codebook(widths, key_bits, seed=sum(widths) + key_bits)
             for m in range(len(widths)):
                 expected = _leakage_oracle(cb, m)
@@ -244,8 +248,8 @@ class TestLeakageAuditOracle:
             for m in range(len(widths)):
                 w_m = (np.arange(cb.position.size) >> shifts[m]) \
                     & ((1 << widths[m]) - 1)
-                counts = np.bincount(
-                    (cb.key_of_all.astype(np.int64) << widths[m]) | w_m)
+                key = infotools.codebook_key_of_all(cb).astype(np.int64)
+                counts = np.bincount((key << widths[m]) | w_m)
                 nz = counts[counts > 0]
                 paths.add(int(nz.max()) + 1 <= nz.size)
                 assert infotools.leakage_audit(cb, m) == \
@@ -277,17 +281,18 @@ class TestLeakageAuditOracle:
         monkeypatch.setattr(infotools, "_TABLE_BUDGET", 1 << 7)
         infotools.leakage_audit(cb, 0)          # 2^(3+4) cells: in budget
         monkeypatch.setattr(infotools, "_TABLE_BUDGET", (1 << 7) - 1)
-        monkeypatch.setattr(infotools, "_wm_major_counts", forbidden)
+        monkeypatch.setattr(infotools, "_bin_major_counts", forbidden)
         for m in (0, 1):
             with pytest.raises(BudgetExceeded):
                 infotools.leakage_audit(cb, m)
 
     def test_memory_of_one_large_audit(self):
-        # The audit builds the codebook's cached key array (uint16, 2 MiB
-        # at 2^20 codewords) and counts it in blocks of 2^15 codewords, so
-        # the peak is that array, the 2 MiB (K, W_m) count table and a few
-        # float copies of the table; an 8 MiB int64 code per codeword, as
-        # a whole-codebook bincount needs, would not fit under the bound.
+        # The audit reads the codebook's inverse in place and counts it in
+        # blocks of 2^15 codewords, so the peak is the 2 MiB (K, W_m) count
+        # table, its 2 MiB of nonzero counts and a block's buffers (about
+        # 4.2 MiB at 2^20 codewords).  A 2 MiB key array per codebook, or
+        # an 8 MiB int64 code per codeword, as a whole-codebook bincount
+        # needs, would not fit under the bound.
         cb = build_codebook([5, 5, 5, 5], 13, seed=4)
         tracemalloc.start()
         try:
@@ -295,7 +300,28 @@ class TestLeakageAuditOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * (1 << 20)
+        assert peak < 6 * (1 << 20)
+
+    def test_audit_builds_no_key_array(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("audit built a per-codeword key array")
+
+        cb = build_codebook([3, 0, 2], 3, seed=1)
+        expected = [_leakage_oracle(cb, m) for m in range(3)]
+        monkeypatch.setattr(infotools, "codebook_key_of_all", forbidden)
+        assert [infotools.leakage_audit(cb, m) for m in range(3)] == expected
+
+    def test_codebook_key_of_all_is_narrow(self):
+        # The bin index of every codeword, in the narrowest unsigned dtype
+        # that holds a key.  The audit does not read it; acceptance 4 and
+        # perfbench's traced layer list do.
+        for key_bits, dtype in ((0, np.uint8), (8, np.uint8),
+                                (9, np.uint16), (16, np.uint16),
+                                (17, np.uint32), (20, np.uint32)):
+            cb = build_codebook([10, 10], key_bits, seed=key_bits)
+            key = infotools.codebook_key_of_all(cb)
+            assert key.dtype == dtype
+            np.testing.assert_array_equal(key, cb.position >> cb.bin_bits)
 
 
 class TestEmpiricalMi:

@@ -75,6 +75,10 @@ EQUIVALENT: Dict[str, str] = {
         "FFT rows, and both give the same keys",
     "infotools._entropy_terms:1->2#0":
         "the lookup-table switch: both branches give the same bits",
+    "infotools._bin_major_counts:1->2#1":
+        "numpy reads any negative size in reshape as the inferred one",
+    "infotools._bin_major_counts:1->2#6":
+        "numpy reads any negative size in reshape as the inferred one",
     "infotools._plugin_mi_rows:1->2#0":
         "numpy reads any negative size in reshape as the inferred one",
     "infotools._plugin_mi_rows:1->2#2":
