@@ -149,7 +149,10 @@ def xor_distill(common_messages: Sequence[np.ndarray]) -> np.ndarray:
     """Baseline key: concatenated XORs of message pairs (1,2),(3,4),...
 
     Each XOR is truncated to the shorter member; with an odd message
-    count the last message is excluded.
+    count the last message is excluded.  Pairs are taken in listed
+    order, unlike :func:`rates.xor_baseline_rate`, which scores the best
+    pairing: this is a test oracle, and its zero-leak check holds for
+    any pairing.
     """
     if len(common_messages) < 2:
         raise ValueError("at least two messages are required")

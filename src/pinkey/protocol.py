@@ -12,8 +12,9 @@ plus a per-block parity checksum; the terminal corrects single errors,
 and blocks whose checksum fails after correction are discarded (the
 terminal publishes the kept-block mask).  Retained information bits are
 then compressed through a fixed public binary Toeplitz hash T, dropping
-ceil(7 * h2(p) / 4) bits per retained block.  The achieved rate is
-sub-capacity and is reported as such.
+ceil(7 * h2(p) / 4) bits per retained block, and at least 1: a block's
+syndrome and parity leak one linear bit of its four kept bits even at
+p = 0.  The achieved rate is sub-capacity and is reported as such.
 
 The hash is evaluated as an exact FFT convolution in float64, so its time
 is O(n log n) and its memory linear in n; every convolution entry is an

@@ -5,8 +5,8 @@ All rates are in bits.  ``capacity`` drops the largest per-relay value
 minimum over the M enhanced source models, one per candidate relay m, of
 the cut sum_i I_i - I_m.  Both evaluate one instance or a whole array of
 instances at once and add the relay columns left to right, so they share
-one total and agree exactly.  ``xor_baseline_rate`` pairs relays in
-listed order and sums pairwise minima.
+one total and agree exactly.  ``xor_baseline_rate`` pairs relays at
+their best, in descending order of value, and sums pairwise minima.
 
 Inputs are M values or M (Alice-side, Bob-side) MI pairs, as a sequence
 of ints and floats or an integer or float array, read by
@@ -51,14 +51,17 @@ def _total(vals: np.ndarray) -> np.ndarray:
     return total
 
 
-def _finite_total(vals: np.ndarray) -> np.ndarray:
-    """:func:`_total` of validated values; a total past the float range
-    raises ``ValueError``."""
+def _finite(rate, vals: np.ndarray):
+    """``rate(vals)`` of validated values, computed with float overflow
+    silenced; a result that is not finite raises ``ValueError``, and a
+    0-d one comes back as a Python float.  Every input is finite, so a
+    capacity, a cut or an XOR sum is infinite exactly when the total
+    it adds overflowed."""
     with np.errstate(over="ignore"):
-        total = _total(vals)
-    if not np.isfinite(total).all():
+        out = rate(vals)
+    if not np.isfinite(out).all():
         raise ValueError("the sum of the rate inputs overflows a float")
-    return total
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _capacity(vals: np.ndarray) -> np.ndarray:
@@ -74,9 +77,7 @@ def capacity(i_values) -> Union[float, np.ndarray]:
     (..., M) and returns a float or an array of shape (...).  Values
     whose sum overflows a float raise ``ValueError``.
     """
-    vals = _validated(i_values)
-    cap = _finite_total(vals) - vals.max(axis=-1)
-    return float(cap) if cap.ndim == 0 else cap
+    return _finite(_capacity, _validated(i_values))
 
 
 # Only the tests call this; it stays because perfbench's TRACED looks it up.
@@ -86,27 +87,30 @@ def capacity_order_stat(i_values: Sequence[float]) -> float:
     return sum(sorted(vals)[:-1])
 
 
-def xor_baseline_rate(i_values: Sequence[float]) -> float:
-    """Baseline rate from pairing relays (1,2),(3,4),... in listed order.
+def xor_baseline_rate(i_values) -> Union[float, np.ndarray]:
+    """Baseline rate of XOR pairing, with the relays paired at their best.
 
     Each pair contributes the minimum of its two members; with an odd relay
-    count the unpaired relay contributes zero.  Order-sensitive by design.
-    A sum that overflows a float raises ``ValueError``.
+    count the unpaired relay contributes zero.  Pairing the values in
+    descending order, (largest, second), (third, fourth), ..., maximizes
+    that sum over all pairings, so the result does not depend on the
+    order the relays are listed in; it is at most the sum less the
+    largest value, the capacity.  Like :func:`capacity` it takes one
+    instance or a (..., M) array, and a sum that overflows a float
+    raises ``ValueError``.
     """
-    with np.errstate(over="ignore"):
-        total = float(_xor_pairs(_validated(i_values)))
-    if not np.isfinite(total):
-        raise ValueError("the sum of the rate inputs overflows a float")
-    return total
+    return _finite(_xor_pairs, _validated(i_values))
 
 
 def _xor_pairs(vals: np.ndarray) -> np.ndarray:
     """:func:`xor_baseline_rate` of validated values of shape (..., M),
-    with no overflow check: each listed pair's ``np.minimum`` added to
-    0.0 left to right, the float operations of a plain loop."""
+    with no overflow check: each row sorted in descending order and every
+    second entry, the minimum of its pair, added to 0.0 left to right,
+    the float operations of a plain loop over the sorted values."""
+    desc = np.sort(vals, axis=-1)[..., ::-1]
     total = 0.0
-    for j in range(0, vals.shape[-1] - 1, 2):
-        total = total + np.minimum(vals[..., j], vals[..., j + 1])
+    for j in range(1, vals.shape[-1], 2):
+        total = total + desc[..., j]
     return total
 
 
@@ -131,7 +135,7 @@ def converse_bound(source) -> ConverseResult:
     if pairs.ndim < 2 or pairs.shape[-1] != 2:
         raise ValueError("pair MIs must have shape (..., M, 2)")
     i_vals = _validated(np.minimum(pairs[..., 0], pairs[..., 1]))
-    cuts = _finite_total(i_vals)[..., None] - i_vals
+    cuts = _finite(lambda v: _total(v)[..., None] - v, i_vals)
     bound = cuts.min(axis=-1)
     if bound.ndim == 0:
         return ConverseResult(bound=float(bound), per_m_cuts=cuts.tolist())

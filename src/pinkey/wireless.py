@@ -174,15 +174,16 @@ def key_rate(config: WirelessConfig) -> WirelessRateReport:
                               xor_r_key=float(xor_r_key[0]))
 
 
-def _relay_compositions(m: int, block_len: int):
+def _relay_compositions(m: int, block_len: int, dtype):
     """Relay slot counts of every allocation, grouped by relay budget.
 
     Column c of the returned (M, C(T-2, M)) array is one way
     (t_1, ..., t_M) to give every relay at least one slot.  Its total, the
     relay budget R, runs from T-2 down to M and each budget's
     compositions come in lexicographic order, so the columns with R <= K
-    are the last C(K, M).  The array uses the narrowest unsigned dtype
-    that holds T-2.
+    are the last C(K, M).  The array has the caller's integer ``dtype``,
+    which must hold T-2: :func:`optimize_allocation` passes the dtype of
+    its index table and turns this array into that table in place.
 
     Filled in place from the last relay up: the trailing q relays of the
     first C(top, q) columns hold every q-part composition of a budget of
@@ -191,7 +192,6 @@ def _relay_compositions(m: int, block_len: int):
     below) led by the slots left over for relay M-q.
     """
     longest = block_len - m - 1
-    dtype = np.min_scalar_type(block_len - 2)
     rel = np.empty((m, math.comb(block_len - 2, m)), dtype=dtype)
     rel[m - 1, :longest] = np.arange(longest, 0, -1)
     slots = np.arange(1, longest + 1, dtype=dtype)
@@ -289,9 +289,10 @@ def optimize_allocation(m: int, block_len: int, power: float,
     The search validates the inputs once and tabulates the pairwise
     rate of every (relay, side, relay slot, terminal slot) with the one
     rate kernel (:func:`_rate_table`), which raises ``ValueError`` on a
-    non-finite rate.  It builds the relay slot counts of every relay budget
-    R = T-2, ..., M once (C(T-2, M) columns of narrow integers,
-    descending R).  For Alice's slot count t_A, the allocations
+    non-finite rate.  It writes the relay slot counts of every relay budget
+    R = T-2, ..., M once (C(T-2, M) columns, descending R), straight into
+    the index table ``ridx`` below, the one array that holds them.  For
+    Alice's slot count t_A, the allocations
     (t_A, t_B, t_1..t_M) are, in lexicographic order, the suffix with
     R <= T-t_A-1 and t_B = T-t_A-R, so u = t_A+t_B-2 = T-2-R is fixed
     by the column.  Two tables turn each allocation's per-relay minima
@@ -301,9 +302,11 @@ def optimize_allocation(m: int, block_len: int, power: float,
       a (T-M-1, M, T-M) array whose rows u >= t_A-1, the ones t_A's
       suffix reads, are refreshed before t_A's columns are scored;
     - ``ridx[i, c] = u_c*M*(T-M) + i*(T-M) + t_{i,c}``, the flat index
-      of column c's entries in ``gu``, built once in place in the
-      narrowest unsigned dtype that holds ``gu.size - 1`` (uint16 for
-      every M=4 search within the budget, and at M=2 up to T=183).
+      of column c's entries in ``gu``: the slot counts with the relay
+      and u offsets added in place, in the narrowest unsigned dtype that
+      holds ``gu.size - 1`` (uint16 for every M=4 search within the
+      budget, and at M=2 up to T=183).  Every t_{i,c} < T-M, so the
+      winner's slot counts are read back as ``ridx[:, c] % (T-M)``.
 
     A run of columns is scored in chunks of at most 4096 with one
     ``take``, the capacity formula over the relay-major minima and one
@@ -321,7 +324,7 @@ def optimize_allocation(m: int, block_len: int, power: float,
 
     On a 2-core x86 machine M=4, T=30 (118,755 allocations) takes about
     1.2 ms, T=40 (575,757) about 3.3 ms and T=68 (9,657,648) about
-    35 ms, with tracemalloc peaks of 0.6, 1.3 and 8.9 MiB (at T=68 the
+    35 ms, with tracemalloc peaks of 0.5, 1.0 and 6.2 MiB (at T=68 the
     index table is 5.5 MiB of it).
     """
     m = as_number(int, m, "m")
@@ -342,15 +345,15 @@ def optimize_allocation(m: int, block_len: int, power: float,
     tab = _rate_table(m, block_len, config.power, config.noise_var,
                       config.channel_vars)
     ub = _pair_bounds(tab, block_len)
-    rel = _relay_compositions(m, block_len)
     stride = tab.shape[-1]
     # per side, [t_alpha, i, t_i]: one terminal slot's rates, relay-major
     side_a, side_b = tab.transpose(1, 3, 0, 2)
     # gu[u, i, t_i] = min of relay i's two rates at u = t_A + t_B - 2
     gu = np.empty((stride - 1, m, stride))
     dtype = np.min_scalar_type(gu.size - 1)
-    cols = rel.shape[1]
-    ridx = rel.astype(dtype)
+    # the slot counts t_i < stride, turned into flat indices in place
+    ridx = _relay_compositions(m, block_len, dtype)
+    cols = ridx.shape[1]
     ridx += (np.arange(m, dtype=dtype) * stride)[:, None]
     # budget R's columns: the last C(R, M) less the last C(R-1, M)
     for r in range(m, block_len - 1):
@@ -395,7 +398,7 @@ def optimize_allocation(m: int, block_len: int, power: float,
         if r_key > best_rate:
             best_rate, best = r_key, (t_a, col)
     t_a, col = best
-    t_rel = rel[:, col].tolist()
+    t_rel = (ridx[:, col] % stride).tolist()
     return AllocationResult((t_a, block_len - t_a - sum(t_rel), *t_rel),
                             best_rate, "exhaustive")
 

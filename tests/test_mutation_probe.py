@@ -12,13 +12,14 @@ _SPEC.loader.exec_module(probe)
 
 def test_every_equivalent_id_names_a_site():
     # An edit can remove or renumber a site; its allow-list entry would
-    # then excuse nothing, or a different mutant.
+    # then excuse nothing, or a different mutant.  Each entry names its
+    # site's source line, so a renumbered id fails here too.
     stale = []
-    for ident in probe.EQUIVALENT:
+    for ident, (line, _) in probe.EQUIVALENT.items():
         module = ident.split(".", 1)[0]
         with open(os.path.join(ROOT, "src", "pinkey", module + ".py")) as fh:
             source = fh.read()
-        if ident not in {site.ident for site in probe.sites_of(module,
-                                                                source)}:
+        if (ident, line) not in {(site.ident, site.line) for site in
+                                 probe.sites_of(module, source)}:
             stale.append(ident)
     assert not stale

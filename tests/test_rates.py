@@ -276,8 +276,14 @@ class TestXorBaseline:
         assert rates.xor_baseline_rate([1.0, 1.0, 1.0]) == 1.0
         assert rates.capacity([1.0, 1.0, 1.0]) == 2.0
 
-    def test_order_sensitive(self):
-        assert rates.xor_baseline_rate([0.0, 1.0, 1.0, 0.0]) == 0.0
+    def test_best_pairing_in_any_order(self):
+        # The listed pairs (3, 0.1), (2.9, 0.2) would give 0.3; the best
+        # pairs (3, 2.9), (0.2, 0.1) give 3.0, below the capacity 3.2.
+        for vals in ([3.0, 0.1, 2.9, 0.2], [0.1, 0.2, 2.9, 3.0],
+                     [2.9, 3.0, 0.1, 0.2]):
+            assert rates.xor_baseline_rate(vals) == 3.0
+        assert rates.capacity([3.0, 0.1, 2.9, 0.2]) == pytest.approx(3.2)
+        assert rates.xor_baseline_rate([0.0, 1.0, 1.0, 0.0]) == 1.0
         assert rates.xor_baseline_rate([1.0, 1.0, 0.0, 0.0]) == 1.0
 
     def test_rejects_overflowing_sum(self):
@@ -290,20 +296,24 @@ class TestXorBaseline:
     def test_never_exceeds_capacity(self, vals):
         assert rates.xor_baseline_rate(vals) <= rates.capacity(vals) + 1e-12
 
-    def test_rows_equal_listed_loop_exactly(self):
+    def test_rows_equal_sorted_loop_exactly(self):
         # _xor_pairs on a (K, M) array gives each row the float of a plain
-        # loop over the listed pairs, and xor_baseline_rate a Python float.
+        # loop over its values in descending order, adding the second of
+        # each pair; xor_baseline_rate gives the same array, and a Python
+        # float for one row.
         rng = np.random.Generator(np.random.PCG64(9))
         for m in (2, 3, 4, 7, 10):
             batch = rng.uniform(0.0, 16.0, (200, m))
             batch[::5] = batch[::5, :1]  # rows of equal values (ties)
             want = []
             for row in batch.tolist():
+                desc = sorted(row, reverse=True)
                 total = 0.0
-                for j in range(0, m - 1, 2):
-                    total += min(row[j], row[j + 1])
+                for j in range(1, m, 2):
+                    total += desc[j]
                 want.append(total)
             assert rates._xor_pairs(batch).tolist() == want
+            assert rates.xor_baseline_rate(batch).tolist() == want
             got = [rates.xor_baseline_rate(row) for row in batch]
             assert got == want
             assert all(type(x) is float for x in got)

@@ -333,19 +333,24 @@ class TestOptimizeAllocation:
     def test_composition_count(self):
         for m, block_len in [(2, 4), (2, 11), (3, 13), (4, 20), (5, 14),
                              (2, 257), (2, 258)]:
-            rel = wireless._relay_compositions(m, block_len)
-            assert rel.dtype == (np.uint8 if block_len <= 257 else np.uint16)
-            assert rel.shape == (m, math.comb(block_len - 2, m))
-            budget = rel.sum(axis=0)
-            start = 0
-            for r in range(block_len - 2, m - 1, -1):
-                want = list(_compositions(r, m))
-                stop = start + len(want)
-                assert [tuple(c) for c in rel[:, start:stop].T.tolist()] \
-                    == want
-                assert (budget[start:stop] == r).all()
-                start = stop
-            assert start == rel.shape[1]
+            # the narrowest dtype that holds T-2, and the search's index
+            # dtype: the one that holds gu.size - 1
+            stride = block_len - m
+            for dtype in (np.uint8 if block_len <= 257 else np.uint16,
+                          np.min_scalar_type((stride - 1) * m * stride - 1)):
+                rel = wireless._relay_compositions(m, block_len, dtype)
+                assert rel.dtype == dtype
+                assert rel.shape == (m, math.comb(block_len - 2, m))
+                budget = rel.sum(axis=0)
+                start = 0
+                for r in range(block_len - 2, m - 1, -1):
+                    want = list(_compositions(r, m))
+                    stop = start + len(want)
+                    assert [tuple(c)
+                            for c in rel[:, start:stop].T.tolist()] == want
+                    assert (budget[start:stop] == r).all()
+                    start = stop
+                assert start == rel.shape[1]
 
     def test_budgets_wider_than_one_byte(self):
         # T=258 puts relay budgets up to 256 in two-byte slot counts.  The
@@ -532,7 +537,7 @@ class TestOptimizeAllocation:
         assert (got.allocation, got.r_key) == (best, best_rate)
 
     @pytest.mark.parametrize("block_len, limit_mib",
-                             [(30, 1.5), (50, 6.0), (68, 10.0)])
+                             [(30, 1.5), (50, 3.0), (68, 7.0)])
     def test_working_memory(self, block_len, limit_mib):
         channel_vars = [(0.6, 1.8), (1.1, 0.9), (2.0, 0.7), (0.8, 0.8)]
         tracemalloc.start()

@@ -13,7 +13,8 @@ the ``.min()``/``.max()`` methods).  It then runs the whole tier-1 suite
 on the copy with ``-x``, after the mutated module's own test file (a
 quick kill for most mutants).  A mutant the suite passes survives.
 Survivors named in ``EQUIVALENT`` (changes no test can see, each with
-its reason) are reported apart; any other survivor is new, and the exit
+the source line it sits on and its reason) are reported apart; any other
+survivor, or one whose line no longer matches, is new, and the exit
 status is then 1.
 
     python tools/mutation_probe.py --workdir /tmp/probe
@@ -42,7 +43,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = ("rates", "protocol", "distillation", "infotools", "pipeline",
@@ -65,48 +66,78 @@ CALLS = {"min": "max", "max": "min", "minimum": "maximum",
          "maximum": "minimum"}
 
 # Survivors that change nothing the suite can observe, by site id
-# (module.function:change#n, n counting that change within the function).
-EQUIVALENT: Dict[str, str] = {
-    "protocol.<module>:1->2#2":
+# (module.function:change#n, n counting that change within the function),
+# each with the stripped source line the site starts on and the reason.
+# An edit can renumber the ids; the line pins each entry to its mutant.
+EQUIVALENT: Dict[str, Tuple[str, str]] = {
+    "protocol.<module>:1->2#2": (
+        "_XOR_CALL_BYTES = 1 << 14",
         "_XOR_CALL_BYTES is a cost-model constant: it picks one or two "
-        "FFT rows, and both give the same keys",
-    "protocol.<module>:1->2#3":
+        "FFT rows, and both give the same keys"),
+    "protocol.<module>:1->2#3": (
+        "_FFT_POINT_BYTES = 1 << 5",
         "_FFT_POINT_BYTES is a cost-model constant: it picks one or two "
-        "FFT rows, and both give the same keys",
-    "infotools._entropy_terms:1->2#0":
-        "the lookup-table switch: both branches give the same bits",
-    "infotools._bin_major_counts:1->2#1":
-        "numpy reads any negative size in reshape as the inferred one",
-    "infotools._bin_major_counts:1->2#6":
-        "numpy reads any negative size in reshape as the inferred one",
-    "infotools._plugin_mi_rows:1->2#0":
-        "numpy reads any negative size in reshape as the inferred one",
-    "infotools._plugin_mi_rows:1->2#2":
-        "numpy reads any negative size in reshape as the inferred one",
-    "distillation.RbCodebook.__init__:1->2#2":
+        "FFT rows, and both give the same keys"),
+    "infotools._entropy_terms:1->2#0": (
+        "if top + 1 <= nz.size:",
+        "the lookup-table switch: both branches give the same bits"),
+    "infotools._bin_major_counts:1->2#1": (
+        "by_bin = inverse.reshape(1 << key_bits, -1)",
+        "numpy reads any negative size in reshape as the inferred one"),
+    "infotools._bin_major_counts:1->2#6": (
+        "table[lo:lo + rows] = counts.reshape(rows, -1)",
+        "numpy reads any negative size in reshape as the inferred one"),
+    "infotools._plugin_mi_rows:1->2#0": (
+        "joint_p = (joint / n).reshape(-1, k_x, k_y)",
+        "numpy reads any negative size in reshape as the inferred one"),
+    "infotools._plugin_mi_rows:1->2#2": (
+        "- h_mm(joint_p.reshape(len(joint), -1)))",
+        "numpy reads any negative size in reshape as the inferred one"),
+    "distillation.RbCodebook.__init__:1->2#2": (
+        "inverse = np.full(total, -1, dtype=np.int32)",
         "any negative fill marks an unwritten slot: the check is "
-        "inverse.min() < 0, and a permutation overwrites every slot",
-    "pipeline._truncation:LtE->Lt#0":
-        "at a total equal to the budget, b * budget // total is b",
-    "model._sample_side:Lt->LtE#0":
+        "inverse.min() < 0, and a permutation overwrites every slot"),
+    "pipeline._truncation:LtE->Lt#0": (
+        "if total <= budget:",
+        "at a total equal to the budget, b * budget // total is b"),
+    "model._sample_side:Lt->LtE#0": (
+        "flips = (rng.random(n) < crossover).astype(np.uint8)",
         "differs only when a uniform draw equals the crossover exactly "
-        "(probability at most 2**-53 per draw)",
-    "wireless._network_rates:1->2#0":
-        "numpy reads any negative size in reshape as the inferred one",
-    "wireless._relay_compositions:1->2#4":
+        "(probability at most 2**-53 per draw)"),
+    "wireless._network_rates:1->2#0": (
+        "np.reshape(powers, (-1, 1, 1)), config.noise_var,",
+        "numpy reads any negative size in reshape as the inferred one"),
+    "wireless._relay_compositions:1->2#4": (
+        "slots = np.arange(1, longest + 1, dtype=dtype)",
         "slots is read only as slots[:b - q + 1], never past its first "
-        "longest entries",
-    "wireless._relay_compositions:1->2#12":
+        "longest entries"),
+    "wireless._relay_compositions:1->2#12": (
+        "for b in range(top, q - 1, -1):",
         "the extra budget b = q-1 has C(q-2, q-1) = 0 compositions, so "
-        "its block is empty",
-    "wireless.optimize_allocation:1->2#5":
-        "the rate table is square in its last two axes",
-    "wireless.optimize_allocation:Sub->Add#5":
+        "its block is empty"),
+    "wireless.optimize_allocation:1->2#5": (
+        "stride = tab.shape[-1]",
+        "the rate table is square in its last two axes"),
+    "wireless.optimize_allocation:Sub->Add#5": (
+        "dtype = np.min_scalar_type(gu.size - 1)",
         "the index dtype of gu.size + 1 is at most one size wider and "
-        "holds the same indices",
-    "wireless.optimize_allocation.best_of:1->2#0":
+        "holds the same indices"),
+    "wireless.optimize_allocation:1->2#8": (
+        "dtype = np.min_scalar_type(gu.size - 1)",
+        "gu.size = (T-M-1)(T-M)M is even, so gu.size - 1 is never the "
+        "256, 65536 or 2**32 at which gu.size - 2 would take a narrower "
+        "dtype"),
+    "wireless.optimize_allocation:1->2#10": (
+        "for r in range(m, block_len - 1):",
+        "the budget the shorter loop skips, R = T-2, adds a u offset of "
+        "(T-2-R)*M*(T-M) = 0"),
+    "wireless.optimize_allocation:1->2#13": (
+        "t_as, b_edges = (e.reshape(-1, 2).tolist() for e in np.nonzero(",
+        "numpy reads any negative size in reshape as the inferred one"),
+    "wireless.optimize_allocation.best_of:1->2#0": (
+        "hi = cols - math.comb(block_len - t_a - b_last - 1, m)",
         "scores one more t_B of the same t_A: an allocation that is "
-        "scored anyway or whose bound is below the floor",
+        "scored anyway or whose bound is below the floor"),
 }
 
 
@@ -114,6 +145,7 @@ class Site(NamedTuple):
     module: str
     ident: str      # module.function:change#n
     index: int      # position in the module's walk order
+    line: str       # the stripped source line the site starts on
 
 
 def _label(node) -> str:
@@ -176,8 +208,11 @@ class _Sites(ast.NodeVisitor):
 def sites_of(module: str, source: str) -> List[Site]:
     finder = _Sites(module)
     finder.visit(ast.parse(source))
-    return [Site(module, ident, i)
-            for i, (_, ident) in enumerate(finder.found)]
+    lines, sites = source.splitlines(), []
+    for i, (node, ident) in enumerate(finder.found):
+        start = (node[0] if isinstance(node, tuple) else node).lineno
+        sites.append(Site(module, ident, i, lines[start - 1].strip()))
+    return sites
 
 
 def mutate(source: str, site: Site) -> str:
@@ -280,9 +315,9 @@ def main(argv=None) -> int:
         if not passed:
             killed += 1
             verdict = f"killed by {why}"
-        elif site.ident in EQUIVALENT:
+        elif EQUIVALENT.get(site.ident, ("",))[0] == site.line:
             equivalent.append(site.ident)
-            verdict = f"survived, equivalent: {EQUIVALENT[site.ident]}"
+            verdict = f"survived, equivalent: {EQUIVALENT[site.ident][1]}"
         else:
             survivors.append(site.ident)
             verdict = "SURVIVED"
