@@ -355,8 +355,9 @@ def optimize_allocation(m: int, block_len: int, power: float,
     ridx = _relay_compositions(m, block_len, dtype)
     cols = ridx.shape[1]
     ridx += (np.arange(m, dtype=dtype) * stride)[:, None]
-    # budget R's columns: the last C(R, M) less the last C(R-1, M)
-    for r in range(m, block_len - 1):
+    # budget R's columns: the last C(R, M) less the last C(R-1, M); the
+    # last budget, R = T-2, has u offset 0
+    for r in range(m, block_len - 2):
         ridx[:, cols - math.comb(r, m):cols - math.comb(r - 1, m)] += \
             (block_len - 2 - r) * m * stride
     g = gu.ravel()  # a view: every refresh of gu shows through

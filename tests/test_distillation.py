@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pinkey import infotools
 from pinkey.distillation import (KeyIndex, RbCodebook, build_codebook,
                                  distill, invert, xor_distill)
 from pinkey.errors import BudgetExceeded
@@ -103,9 +105,16 @@ class TestBuildCodebook:
         [0, 1, 2],              # too short
         [0, 1, 2, 3, 0],        # too long
         [[0, 1], [2, 3]],       # 2-D, of the right size
-    ], ids=["duplicate", "total", "negative", "short", "long", "2d"])
+        # The range check runs before the entries are narrowed to int32.
+        [0, (1 << 32) + 1, 2, 3],                        # narrows to 1
+        [0, 1, 2, (1 << 32) - 1],                        # narrows to -1
+        np.array([0, 1, 2, -1], dtype=np.int32),
+        np.array([0, 1, 2, (1 << 64) - 1], dtype=np.uint64),
+    ], ids=["duplicate", "total", "negative", "short", "long", "2d",
+            "wraps_to_1", "wraps_to_negative", "int32_negative",
+            "uint64_max"])
     def test_rejects_non_permutation(self, position):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a permutation"):
             RbCodebook([1, 1], 1, np.array(position))
 
     @pytest.mark.parametrize("position", [
@@ -128,17 +137,38 @@ class TestBuildCodebook:
         np.array([0, 1, 3, 2], dtype=np.int32)])
     def test_accepts_integer_position(self, position):
         cb = RbCodebook([1, 1], 1, position)
-        assert cb.position.dtype == np.int64
+        assert cb.position.dtype == np.int32
         assert cb.position.tolist() == [0, 1, 3, 2]
+
+    def test_takes_int32_position_as_it_is(self):
+        position = np.array([0, 1, 3, 2], dtype=np.int32)
+        assert RbCodebook([1, 1], 1, position).position is position
 
     def test_inverse_is_argsort(self):
         for seed, widths in enumerate([[0], [1], [2, 3], [4, 0, 4],
                                        [5, 5, 5, 5]]):
             cb = build_codebook(widths, sum(widths) // 2, seed=seed)
-            assert cb.position.dtype == np.int64
+            assert cb.position.dtype == np.int32
             assert cb.inverse.dtype == np.int32
             np.testing.assert_array_equal(cb.inverse,
                                           np.argsort(cb.position))
+
+    @pytest.mark.parametrize("widths,key_bits", [([10, 10], 8),
+                                                 ([5, 5, 5, 5], 13)])
+    def test_memory_of_build_and_every_audit(self, widths, key_bits):
+        # 2^20 codewords: the 8 MiB int64 shuffle and its 4 MiB int32 copy
+        # while it is narrowed, then two 4 MiB int32 arrays under every
+        # audit.  An int64 position, or a full-size scatter temporary,
+        # would not fit under the bound.
+        tracemalloc.start()
+        try:
+            cb = build_codebook(widths, key_bits, seed=2)
+            for m in range(len(widths)):
+                infotools.leakage_audit(cb, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13.5 * (1 << 20)
 
 
 class TestDistill:

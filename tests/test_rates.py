@@ -269,9 +269,6 @@ class TestXorBaseline:
     def test_single_pair(self):
         assert rates.xor_baseline_rate([1.0, 1.0]) == 1.0
 
-    def test_listed_pairing(self):
-        assert rates.xor_baseline_rate([0.5, 1.0, 2.0, 2.0]) == 2.5
-
     def test_odd_relay_contributes_zero(self):
         assert rates.xor_baseline_rate([1.0, 1.0, 1.0]) == 1.0
         assert rates.capacity([1.0, 1.0, 1.0]) == 2.0
@@ -285,6 +282,9 @@ class TestXorBaseline:
         assert rates.capacity([3.0, 0.1, 2.9, 0.2]) == pytest.approx(3.2)
         assert rates.xor_baseline_rate([0.0, 1.0, 1.0, 0.0]) == 1.0
         assert rates.xor_baseline_rate([1.0, 1.0, 0.0, 0.0]) == 1.0
+        # Listed pairs (0.5, 2.0), (1.0, 2.0) would give 1.5; the best
+        # pairs (2.0, 2.0), (1.0, 0.5) give 2.5.
+        assert rates.xor_baseline_rate([0.5, 2.0, 1.0, 2.0]) == 2.5
 
     def test_rejects_overflowing_sum(self):
         # Each pair minimum is finite; their sum is not.

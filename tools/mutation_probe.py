@@ -93,6 +93,12 @@ EQUIVALENT: Dict[str, Tuple[str, str]] = {
     "infotools._plugin_mi_rows:1->2#2": (
         "- h_mm(joint_p.reshape(len(joint), -1)))",
         "numpy reads any negative size in reshape as the inferred one"),
+    "distillation.<module>:1->2#0": (
+        "_SCATTER_BLOCK = 1 << 16",
+        "the scatter's block size sets only how many entries each step "
+        "writes: every power of two gives the same inverse, and 2^17 "
+        "blocks (1.5 MiB of buffers) stay under the build's narrowing "
+        "peak"),
     "distillation.RbCodebook.__init__:1->2#2": (
         "inverse = np.full(total, -1, dtype=np.int32)",
         "any negative fill marks an unwritten slot: the check is "
@@ -127,11 +133,7 @@ EQUIVALENT: Dict[str, Tuple[str, str]] = {
         "gu.size = (T-M-1)(T-M)M is even, so gu.size - 1 is never the "
         "256, 65536 or 2**32 at which gu.size - 2 would take a narrower "
         "dtype"),
-    "wireless.optimize_allocation:1->2#10": (
-        "for r in range(m, block_len - 1):",
-        "the budget the shorter loop skips, R = T-2, adds a u offset of "
-        "(T-2-R)*M*(T-M) = 0"),
-    "wireless.optimize_allocation:1->2#13": (
+    "wireless.optimize_allocation:1->2#12": (
         "t_as, b_edges = (e.reshape(-1, 2).tolist() for e in np.nonzero(",
         "numpy reads any negative size in reshape as the inferred one"),
     "wireless.optimize_allocation.best_of:1->2#0": (
