@@ -169,10 +169,9 @@ def sample(instance: PinInstance, seed: int) -> SourceRealization:
     n = instance.params.n
     x_a, x_b, x_relays = [], [], []
     for i, pair in enumerate(instance.pairs):
-        term_a, relay_a = _sample_side(pair, n, _substream(seed, i, _SIDE_A),
-                                       _SIDE_A)
-        term_b, relay_b = _sample_side(pair, n, _substream(seed, i, _SIDE_B),
-                                       _SIDE_B)
+        (term_a, relay_a), (term_b, relay_b) = (
+            _sample_side(pair, n, _substream(seed, i, side), side)
+            for side in (_SIDE_A, _SIDE_B))
         x_a.append(term_a)
         x_b.append(term_b)
         x_relays.append((relay_a, relay_b))

@@ -65,21 +65,16 @@ def run_once(instance: PinInstance, sample_seed: int,
     keys, transcript = protocol.agree_keys(realization, instance)
     payloads = protocol.xor_broadcast(keys, transcript)
 
-    w_alice = protocol.alice_common(keys, payloads)
-    w_bob = protocol.bob_common(keys, payloads)
     full_bits = [w.size for w in keys.common]
     message_bits = _truncation(full_bits, _MAX_TOTAL_BITS)
-    truncated = message_bits != full_bits
-    if truncated:
-        w_alice = [w[:b] for w, b in zip(w_alice, message_bits)]
-        w_bob = [w[:b] for w, b in zip(w_bob, message_bits)]
     key_bits = key_bits_for(message_bits, instance.params.epsilon_bits)
     codebook = distillation.build_codebook(message_bits, key_bits,
                                            codebook_seed)
-    key_alice = distillation.distill(codebook,
-                                     [bits_to_int(w) for w in w_alice]).k
-    key_bob = distillation.distill(codebook,
-                                   [bits_to_int(w) for w in w_bob]).k
+    key_alice, key_bob = (
+        distillation.distill(codebook, [bits_to_int(w[:b]) for w, b
+                                        in zip(common, message_bits)]).k
+        for common in (protocol.alice_common(keys, payloads),
+                       protocol.bob_common(keys, payloads)))
 
     leakage = None
     if all(p.mode == MODE_IDEAL for p in instance.pairs):
@@ -90,7 +85,7 @@ def run_once(instance: PinInstance, sample_seed: int,
         key_bob=key_bob,
         key_bits=key_bits,
         message_bits=message_bits,
-        truncated=truncated,
+        truncated=message_bits != full_bits,
         transcript=transcript,
         keys=keys,
         leakage=leakage,

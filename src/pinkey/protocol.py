@@ -80,8 +80,8 @@ class Transcript:
     With M relays the schedule has period M+2: relay m (sender
     ``relay_sender(m - 1)``, m = 1..M) owns rounds l = m (mod M+2),
     Alice owns l = M+1 and Bob owns l = 0 (mod M+2).  Any other sender
-    raises ``ValueError``.  Only rounds that actually carry a payload are
-    recorded; indices are strictly increasing.
+    raises ``ValueError``.  Every appended round is recorded, a 0-bit
+    payload included; indices are strictly increasing.
     """
 
     def __init__(self, num_relays: int):
@@ -313,55 +313,45 @@ def agree_keys(realization: SourceRealization,
                instance: PinInstance) -> Tuple[PairwiseKeys, Transcript]:
     """Algorithm step one: establish both pairwise keys at every relay.
 
+    Each pair's Alice side and Bob side take one path, in that order.
     Ideal-common pairs keep the arrays :func:`model.sample` gave each
     holder, with no copy and no public transmission.  Noisy pairs run
     :func:`reconcile_pair` on each side; the relay's syndrome message and
     the terminal's kept-block mask are logged at their owners' rounds.
     Raises :class:`ReconciliationFailure` when a noisy pair ends with an
-    empty key on either side.
+    empty key on either side, once both sides are logged.
     """
     transcript = Transcript(instance.m)
-    w_a, w_b, relay_w_a, relay_w_b = [], [], [], []
+    held = [], [], [], []  # PairwiseKeys' w_a, w_b, relay_w_a, relay_w_b
     for i, pair in enumerate(instance.pairs):
-        if pair.mode == MODE_IDEAL:
-            w_a.append(realization.x_a[i])
-            relay_w_a.append(realization.x_relays[i][0])
-            w_b.append(realization.x_b[i])
-            relay_w_b.append(realization.x_relays[i][1])
-            continue
-        usable = (realization.n // _BLOCK) * _BLOCK
-        if usable == 0:
-            raise ReconciliationFailure(i, f"blocklength {realization.n} "
-                                           f"shorter than one code block")
-        res_a = reconcile_pair(realization.x_a[i][:usable],
-                               realization.x_relays[i][0][:usable],
-                               pair.crossover_a)
-        transcript.append(relay_sender(i), res_a.syndrome_bits)
-        transcript.append(SENDER_ALICE, res_a.kept_mask)
-        res_b = reconcile_pair(realization.x_b[i][:usable],
-                               realization.x_relays[i][1][:usable],
-                               pair.crossover_b)
-        transcript.append(relay_sender(i), res_b.syndrome_bits)
-        transcript.append(SENDER_BOB, res_b.kept_mask)
-        if res_a.key_terminal.size == 0 or res_b.key_terminal.size == 0:
-            raise ReconciliationFailure(i, "no key bits survived")
-        w_a.append(res_a.key_terminal)
-        relay_w_a.append(res_a.key_relay)
-        w_b.append(res_b.key_terminal)
-        relay_w_b.append(res_b.key_relay)
-    keys = PairwiseKeys(w_a=w_a, w_b=w_b, relay_w_a=relay_w_a,
-                        relay_w_b=relay_w_b, n=realization.n)
+        sides = [(realization.x_a[i], realization.x_relays[i][0]),
+                 (realization.x_b[i], realization.x_relays[i][1])]
+        if pair.mode != MODE_IDEAL:
+            usable = (realization.n // _BLOCK) * _BLOCK
+            if usable == 0:
+                raise ReconciliationFailure(i, f"blocklength {realization.n} "
+                                               f"shorter than one code block")
+            for s, owner, crossover in ((0, SENDER_ALICE, pair.crossover_a),
+                                        (1, SENDER_BOB, pair.crossover_b)):
+                res = reconcile_pair(sides[s][0][:usable],
+                                     sides[s][1][:usable], crossover)
+                transcript.append(relay_sender(i), res.syndrome_bits)
+                transcript.append(owner, res.kept_mask)
+                sides[s] = res.key_terminal, res.key_relay
+            if min(term.size for term, _ in sides) == 0:
+                raise ReconciliationFailure(i, "no key bits survived")
+        for s, (term, relay) in enumerate(sides):
+            held[s].append(term)
+            held[2 + s].append(relay)
+    keys = PairwiseKeys(*held, n=realization.n)
     return keys, transcript
 
 
 def xor_payloads(keys: PairwiseKeys) -> List[np.ndarray]:
     """Per-relay broadcast payload: XOR of the two keys, truncated to the
     shorter one (computed from the relay's copies)."""
-    out = []
-    for wa, wb in zip(keys.relay_w_a, keys.relay_w_b):
-        length = min(wa.size, wb.size)
-        out.append(wa[:length] ^ wb[:length])
-    return out
+    return [wa[:wb.size] ^ wb[:wa.size]
+            for wa, wb in zip(keys.relay_w_a, keys.relay_w_b)]
 
 
 def xor_broadcast(keys: PairwiseKeys,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pinkey import pipeline
+from pinkey.model import PairSource, PinInstance, ProtocolParams
 from pinkey.protocol import relay_sender, xor_payloads
 
 from helpers import dsbs_instance, ideal_instance
@@ -71,6 +72,17 @@ def test_noisy_run_skips_the_audit():
                             codebook_seed=6)
     assert res.leakage is None
     assert res.agreed
+
+
+def test_mixed_run_skips_the_audit():
+    # One ideal pair is not enough: the audit needs every pair ideal.
+    inst = PinInstance(m=2, pairs=[PairSource.ideal_common(2, 3),
+                                   PairSource.dsbs(0.02, 0.03)],
+                       params=ProtocolParams(n=70))
+    res = pipeline.run_once(inst, sample_seed=2, codebook_seed=3)
+    assert res.leakage is None
+    assert [r.sender for r in res.transcript.rounds] == [
+        "relay-2", "alice", "relay-2", "bob", "relay-1", "relay-2"]
 
 
 @pytest.mark.parametrize("inst", [ideal_instance([(2, 1), (1, 2)], n=3),

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -152,6 +153,17 @@ class TestTranscript:
         assert build().to_jsonl() == build().to_jsonl()
         assert build().digest() == build().digest()
         assert '"sender": "relay-1"' in build().to_jsonl()
+
+    def test_zero_bit_round_is_logged(self):
+        # Relay 1's Alice-side key is empty, so its XOR payload has no
+        # bits; the round is logged all the same.
+        inst = ideal_instance([(0, 3), (2, 2)])
+        keys, transcript = agree_keys(model.sample(inst, 0), inst)
+        xor_broadcast(keys, transcript)
+        first = transcript.to_jsonl().splitlines()[0]
+        assert json.loads(first) == {"l": 1, "sender": "relay-1", "bits": 0,
+                                     "payload": ""}
+        assert [r.payload.size for r in transcript.rounds] == [0, 2]
 
 
 class TestAgreeKeysIdeal:
@@ -482,6 +494,22 @@ class TestAgreeKeysNoisy:
         assert info.value.pair_index == 1
         assert "no key bits survived" in str(info.value)
 
+    def test_every_bob_block_discarded_fails(self):
+        # Two flips in each of Bob's two blocks of pair 2, every other
+        # side noiseless: Alice's side of pair 2 keeps its key, and the
+        # empty Bob side alone fails the pair.
+        inst = dsbs_instance([0.1, 0.1], n=14)
+        real = model.sample(inst, 0)
+        for i in range(2):
+            real.x_a[i][:] = real.x_relays[i][0]
+        real.x_b[0][:] = real.x_relays[0][1]
+        real.x_b[1] = real.x_relays[1][1] ^ np.array(
+            [0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0], dtype=np.uint8)
+        with pytest.raises(ReconciliationFailure) as info:
+            agree_keys(real, inst)
+        assert info.value.pair_index == 1
+        assert "no key bits survived" in str(info.value)
+
     def test_monte_carlo_agreement_rate_golden(self):
         # 1000 seeded trials, two pairs at crossover 0.05, 64 blocks per
         # side: a trial succeeds when all four pairwise keys agree.
@@ -500,3 +528,35 @@ class TestAgreeKeysNoisy:
                 and np.array_equal(keys.w_b[i], keys.relay_w_b[i])
                 for i in range(2))
         assert successes == 461
+
+
+class TestAgreeKeysMixed:
+    def test_ideal_and_noisy_pair(self):
+        # Pair 1 ideal, pair 2 noisy with a different drop on each side
+        # (1 bit per kept block at crossover 0.02, 2 at 0.15).
+        inst = model.PinInstance(m=2, pairs=[
+            model.PairSource.ideal_common(2, 3),
+            model.PairSource.dsbs(0.02, 0.15)],
+            params=model.ProtocolParams(n=70))
+        real = model.sample(inst, 4)
+        keys, transcript = agree_keys(real, inst)
+        assert keys.w_a[0] is real.x_a[0]
+        assert keys.w_b[0] is real.x_b[0]
+        assert keys.relay_w_a[0] is real.x_relays[0][0]
+        assert keys.relay_w_b[0] is real.x_relays[0][1]
+        # Every round is pair 2's: relay syndrome, Alice's mask, relay
+        # syndrome, Bob's mask.
+        assert [r.sender for r in transcript.rounds] == [
+            "relay-2", "alice", "relay-2", "bob"]
+        assert_round_robin(transcript.rounds, inst.m)
+        sides = [(real.x_a[1], real.x_relays[1][0], 0.02, keys.w_a[1],
+                  keys.relay_w_a[1]),
+                 (real.x_b[1], real.x_relays[1][1], 0.15, keys.w_b[1],
+                  keys.relay_w_b[1])]
+        for s, (term, relay, crossover, w, relay_w) in enumerate(sides):
+            res = reconcile_pair(term, relay, crossover)
+            syndrome, mask = transcript.rounds[2 * s:2 * s + 2]
+            np.testing.assert_array_equal(syndrome.payload, res.syndrome_bits)
+            np.testing.assert_array_equal(mask.payload, res.kept_mask)
+            np.testing.assert_array_equal(w, res.key_terminal)
+            np.testing.assert_array_equal(relay_w, res.key_relay)
