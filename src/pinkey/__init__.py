@@ -6,19 +6,4 @@ random-binning key distillation, exact secrecy audits, and wireless
 channel-estimation rate evaluation.
 """
 
-from .distillation import KeyIndex, RbCodebook, build_codebook, distill
-from .errors import (BudgetExceeded, ConfigError, InvariantViolation,
-                     ReconciliationFailure)
-from .infotools import leakage_audit
-from .model import (PairSource, PinInstance, ProtocolParams,
-                    SourceRealization, binary_entropy, sample)
-from .pipeline import run_once
-from .protocol import (PairwiseKeys, Transcript, agree_keys, alice_common,
-                       bob_common, reconcile_pair, xor_broadcast,
-                       xor_payloads)
-from .rates import (RateReport, capacity, converse_bound, rate_report,
-                    xor_baseline_rate)
-from .wireless import (WirelessConfig, multiplexing_gain_sweep,
-                       optimize_allocation, uniform_config)
-
 __version__ = "0.1.0"

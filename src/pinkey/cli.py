@@ -22,8 +22,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import distillation, infotools, pipeline, rates, wireless
-from .errors import (BudgetExceeded, ConfigError, InvariantViolation,
-                     ReconciliationFailure)
+from .errors import (BUDGET_BITS, BudgetExceeded, ConfigError,
+                     InvariantViolation, ReconciliationFailure)
 from .model import PairSource, PinInstance, ProtocolParams
 
 _REQUIRED = object()
@@ -36,9 +36,7 @@ _REQUIRED = object()
 # the block named by its kind.
 _TIGHTNESS = {"count": (int, 1000), "m_min": (int, 2), "m_max": (int, 6),
               "i_max": (float, 4.0)}
-# Cells of the tightness sweep's padded array (the scale of the audit's
-# table budget), and of the slice of it evaluated at once.
-_TIGHTNESS_CELLS = 1 << 24
+# Cells of the slice of the tightness sweep's padded array evaluated at once.
 _TIGHTNESS_CHUNK_CELLS = 1 << 18
 _BLOCKS = {
     "root": {"seed": (int, 0), "capacity": (dict, None),
@@ -143,10 +141,10 @@ def _tightness_sweep(block: dict, seed: int) -> dict:
     count, m_min, m_max, i_max = (block[key] for key in _TIGHTNESS)
     if m_min < 2 or m_max < m_min or count < 1 or i_max <= 0.0:
         raise ConfigError("invalid tightness sweep bounds")
-    if count * m_max * 2 > _TIGHTNESS_CELLS:
+    if count * m_max * 2 > 1 << BUDGET_BITS:
         raise BudgetExceeded(
             f"tightness sweep pads {count} instances to {m_max} relays: "
-            f"{count * m_max * 2:,} cells, over the 2^24 budget")
+            f"{count * m_max * 2:,} cells, over the 2^{BUDGET_BITS} budget")
     rng = np.random.Generator(np.random.PCG64(seed))
     m = rng.integers(m_min, m_max + 1, size=count)
     chunk = max(_TIGHTNESS_CHUNK_CELLS // (m_max * 2), 1)
@@ -299,10 +297,10 @@ def run_sweep(block: dict, seed: int, jobs: int) -> dict:
                              block["codebooks"])
     if m < 2 or codebooks < 1 or not budgets or min(budgets) < 0:
         raise ConfigError("invalid leakage sweep parameters")
-    if m * max(budgets) > distillation.ENUM_BUDGET_BITS:
+    if m * max(budgets) > BUDGET_BITS:
         raise BudgetExceeded(
             f"leakage sweep needs 2^{m * max(budgets)} codewords per "
-            f"codebook, over the 2^{distillation.ENUM_BUDGET_BITS} budget")
+            f"codebook, over the 2^{BUDGET_BITS} budget")
     key_bits = [pipeline.key_bits_for([b] * m, -(-b // 4)) for b in budgets]
     # One pool for the whole sweep, widest codebooks first; the maxima
     # come back in task order and are regrouped by budget.

@@ -7,7 +7,7 @@ explicitly (forward and inverse arrays) so downstream information
 measures are exact: the inverse lists the codewords bin by bin, and the
 leakage audit counts it directly.  The scatter that builds the inverse
 also checks, in linear time, that the forward array is a permutation.
-Enumeration is capped at 2^24 codewords.
+Enumeration is capped at 2^24 codewords (:data:`errors.BUDGET_BITS`).
 
 Widths and the key length are checked once, by the rule both
 :func:`build_codebook` and :class:`RbCodebook` apply: integers, widths
@@ -24,9 +24,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .bitops import as_bits
-from .errors import BudgetExceeded, as_number, as_numbers
+from .errors import BUDGET_BITS, BudgetExceeded, as_number, as_numbers
 
-ENUM_BUDGET_BITS = 24
 _SCATTER_BLOCK = 1 << 16
 
 
@@ -138,9 +137,9 @@ def build_codebook(rates_bits: Sequence[int], key_bits: int,
     """
     rates_bits, key_bits = _widths(rates_bits, key_bits)
     total_bits = sum(rates_bits)
-    if total_bits > ENUM_BUDGET_BITS:
+    if total_bits > BUDGET_BITS:
         raise BudgetExceeded(f"message space of 2^{total_bits} codewords "
-                             f"exceeds the 2^{ENUM_BUDGET_BITS} budget")
+                             f"exceeds the 2^{BUDGET_BITS} budget")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     position = rng.permutation(1 << total_bits).astype(np.int32)
     return RbCodebook(rates_bits, key_bits, position)

@@ -4,6 +4,12 @@ a number argument (:func:`as_number`) and of an array of them
 
 Exit-code mapping used by the CLI: ConfigError -> 2, BudgetExceeded -> 3,
 InvariantViolation -> 4.  Everything else is an ordinary bug.
+
+:data:`BUDGET_BITS` is the one desk-scale budget, 2^24, of every exact
+enumeration and array that grows with an input: a codebook's codewords,
+a pmf or audit count table's cells, the tightness sweep's padded array,
+the leakage sweep's codebooks and the source bits one protocol trial
+samples.
 """
 
 import numbers
@@ -55,10 +61,19 @@ class ConfigError(PinkeyError):
     """Invalid or malformed configuration input."""
 
 
+BUDGET_BITS = 24
+
+
 class BudgetExceeded(PinkeyError):
-    """An exact enumeration or array would exceed its desk-scale budget:
-    2^24 codewords for a codebook, 10^7 compositions for a slot
-    allocation, 2^24 cells for the tightness sweep's padded array."""
+    """An exact enumeration or array would exceed its desk-scale budget.
+
+    2^BUDGET_BITS bounds the codewords of a codebook
+    (:func:`distillation.build_codebook`) and of each leakage sweep
+    codebook (:func:`cli.run_sweep`), the cells of a pmf table and of the
+    leakage audit's (K, W_m) table (:mod:`infotools`), the cells of the
+    tightness sweep's padded array (:mod:`cli`) and the source bits of one
+    protocol trial (:func:`model.sample`).  A slot allocation has its own
+    bound, 10^7 compositions (:func:`wireless.optimize_allocation`)."""
 
 
 class InvariantViolation(PinkeyError):

@@ -21,10 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .distillation import RbCodebook
-from .errors import (BudgetExceeded, InvariantViolation, as_number,
-                     as_numbers)
+from .errors import (BUDGET_BITS, BudgetExceeded, InvariantViolation,
+                     as_number, as_numbers)
 
-_TABLE_BUDGET = 1 << 24
 _NEG_CLAMP = 1e-9
 _BOOTSTRAP_CELLS = 1 << 18  # joint counts drawn per bootstrap chunk
 _AUDIT_BLOCK = 1 << 15  # codewords counted per block of the leakage audit
@@ -39,9 +38,9 @@ class JointPmf:
 
     def __init__(self, table):
         t = np.asarray(table, dtype=float)
-        if t.size > _TABLE_BUDGET:
+        if t.size > 1 << BUDGET_BITS:
             raise BudgetExceeded(f"pmf table of {t.size} entries exceeds "
-                                 f"the 2^24 budget")
+                                 f"the 2^{BUDGET_BITS} budget")
         if t.size == 0 or np.any(t < 0.0):
             raise ValueError("pmf entries must be nonnegative and nonempty")
         if abs(float(t.sum()) - 1.0) > 1e-12:
@@ -202,9 +201,9 @@ def leakage_audit(codebook: RbCodebook, relay: int) -> LeakageAudit:
         raise ValueError(f"relay index out of range: {relay}")
     total = 1 << codebook.total_bits
     cells = codebook.shape[relay] << codebook.key_bits
-    if cells > _TABLE_BUDGET:
+    if cells > 1 << BUDGET_BITS:
         raise BudgetExceeded(f"(K, W_m) table of {cells} entries exceeds "
-                             f"the 2^24 budget")
+                             f"the 2^{BUDGET_BITS} budget")
     counts = _bin_major_counts(codebook.inverse, codebook.key_bits,
                                codebook.message_bits[relay],
                                sum(codebook.message_bits[relay + 1:]))

@@ -23,7 +23,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import as_number
+from .errors import BUDGET_BITS, BudgetExceeded, as_number
 
 MODE_IDEAL = "ideal_common"
 MODE_DSBS = "dsbs"
@@ -164,9 +164,16 @@ def sample(instance: PinInstance, seed: int) -> SourceRealization:
     """Sample n i.i.d. repetitions at Alice, Bob and every relay.
 
     Deterministic in (instance, seed); each (pair, side) draws from its own
-    substream.
+    substream.  A trial over 2^24 source bits (n * (bits_a + bits_b) per
+    ideal pair, 2n per DSBS pair) raises ``BudgetExceeded`` before any
+    draw.
     """
     n = instance.params.n
+    bits = n * sum(p.bits_a + p.bits_b if p.mode == MODE_IDEAL else 2
+                   for p in instance.pairs)
+    if bits > 1 << BUDGET_BITS:
+        raise BudgetExceeded(f"sampling {bits:,} source bits per trial, "
+                             f"over the 2^{BUDGET_BITS} budget")
     x_a, x_b, x_relays = [], [], []
     for i, pair in enumerate(instance.pairs):
         (term_a, relay_a), (term_b, relay_b) = (

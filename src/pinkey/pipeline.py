@@ -33,9 +33,10 @@ class PipelineResult:
 
 def key_bits_for(message_bits: List[int], epsilon_bits: int) -> int:
     """Key length: sum of the M-1 smallest message widths minus the
-    withheld slack bits (>= 0), floored at zero.  Widths and slack must
-    be integers: a float, a bool or a string raises ``ValueError``."""
-    message_bits = [as_number(int, b, "message width") for b in message_bits]
+    withheld slack bits (>= 0), floored at zero.  Widths follow the
+    codebook's rule (:func:`distillation._widths`: integers >= 0) and the
+    slack must be an integer; anything else raises ``ValueError``."""
+    message_bits, _ = distillation._widths(message_bits, 0)
     epsilon_bits = as_number(int, epsilon_bits, "epsilon_bits")
     if epsilon_bits < 0:
         raise ValueError(f"epsilon_bits must be >= 0: {epsilon_bits}")

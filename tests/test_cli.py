@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from pinkey import cli
@@ -130,6 +131,24 @@ class TestProtocolCommand:
         kept, full = (int(w) for w in err.split("keeping ")[1]
                       .split(" bits")[0].split(" of "))
         assert 0 < kept <= 20 * completed < full
+
+    def test_over_budget_sampling_exit_3(self, tmp_path, capsys,
+                                         monkeypatch):
+        # 4 * 10^15 source bits per trial: the check must come before any
+        # generator is built, let alone an array drawn.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an over-budget trial built a generator")
+
+        monkeypatch.setattr(np.random, "Generator", forbidden)
+        block = dict(IDEAL_PROTOCOL, n=10**15, pairs=[
+            {"mode": "ideal_common", "bits_a": 1, "bits_b": 1}] * 2)
+        cfg = write_config(tmp_path, {"protocol": block})
+        out = tmp_path / "out.json"
+        assert main(["protocol", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "budget exceeded: sampling 4,000,000,000,000,000 source bits "
+            "per trial, over the 2^24 budget\n")
+        assert not out.exists()
 
     def test_single_relay_rejected(self, tmp_path):
         block = dict(IDEAL_PROTOCOL, m=1, pairs=IDEAL_PROTOCOL["pairs"][:1])

@@ -278,9 +278,9 @@ class TestLeakageAuditOracle:
             raise AssertionError("count table allocated over budget")
 
         cb = build_codebook([3, 3], 4, seed=0)
-        monkeypatch.setattr(infotools, "_TABLE_BUDGET", 1 << 7)
+        monkeypatch.setattr(infotools, "BUDGET_BITS", 7)
         infotools.leakage_audit(cb, 0)          # 2^(3+4) cells: in budget
-        monkeypatch.setattr(infotools, "_TABLE_BUDGET", (1 << 7) - 1)
+        monkeypatch.setattr(infotools, "BUDGET_BITS", 6)
         monkeypatch.setattr(infotools, "_bin_major_counts", forbidden)
         for m in (0, 1):
             with pytest.raises(BudgetExceeded):

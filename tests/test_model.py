@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from pinkey import model
+from pinkey.errors import BudgetExceeded
 from pinkey.model import (PairSource, PinInstance, ProtocolParams,
                           binary_entropy, pair_mutual_informations, sample)
 
@@ -168,6 +169,36 @@ class TestSampling:
         np.testing.assert_array_equal(ra.x_a[0], rb.x_a[0])
         np.testing.assert_array_equal(ra.x_relays[0][0], rb.x_relays[0][0])
         np.testing.assert_array_equal(ra.x_relays[0][1], rb.x_relays[0][1])
+
+    # 2^6 = 64 source bits: n * (bits_a + bits_b) per ideal pair and 2n
+    # per DSBS pair.
+    @pytest.mark.parametrize("pairs, n, bits", [
+        ([PairSource.dsbs(0.1, 0.1), PairSource.ideal_common(31, 31)], 1, 64),
+        ([PairSource.dsbs(0.1, 0.1), PairSource.ideal_common(31, 32)], 1, 65),
+        ([PairSource.ideal_common(1, 1)] * 2, 16, 64),
+        ([PairSource.ideal_common(1, 1), PairSource.ideal_common(1, 2)],
+         13, 65),
+        ([PairSource.dsbs(0.1, 0.1)] * 2, 16, 64),
+        ([PairSource.dsbs(0.1, 0.1)] * 2, 17, 68)],
+        ids=["mixed-at", "mixed-over", "ideal-at", "ideal-over", "dsbs-at",
+             "dsbs-over"])
+    def test_sampling_budget_is_inclusive(self, monkeypatch, pairs, n, bits):
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(model, "BUDGET_BITS", 6)
+        monkeypatch.setattr(np.random, "Generator", drawn)
+        if bits <= 64:
+            with pytest.raises(Drawn):
+                sample(make_instance(pairs, n=n), 0)
+        else:
+            with pytest.raises(BudgetExceeded,
+                               match=f"sampling {bits} source bits per "
+                                     f"trial, over the 2\\^6 budget"):
+                sample(make_instance(pairs, n=n), 0)
 
     def test_dsbs_joint_law_chi_squared(self):
         p = 0.2

@@ -31,6 +31,20 @@ def test_key_bits_for_rejects_negative_slack():
         pipeline.key_bits_for([3, 3], -2)
 
 
+@pytest.mark.parametrize("widths", [[-3, 5, 9], [-3, -5, 9]])
+def test_key_bits_for_rejects_negative_widths(widths):
+    # The codebook's own width rule: build_codebook rejects these widths,
+    # so no key length is given for them.
+    with pytest.raises(ValueError, match=">= 0"):
+        pipeline.key_bits_for(widths, 0)
+
+
+def test_key_bits_for_accepts_zero_widths():
+    # All-zero widths are a one-codeword message space, which
+    # build_codebook accepts too.
+    assert pipeline.key_bits_for([0, 0], 0) == 0
+
+
 @pytest.mark.parametrize("widths, slack", [
     ([3, 3], 1.5), ([3.0, 3], 0), ([3, True], 0), ([3, 3], True),
     ([3, "3"], 0), ([3, 3], "1")])
